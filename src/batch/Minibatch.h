@@ -135,9 +135,7 @@ public:
     return B;
   }
   // The thread-count axis passes through untouched -- the CostProvider
-  // defaults would silently drop Threads (they fall back to convCost), and
-  // the batch-bucket ladder solves thread-aware formulations through this
-  // adapter.
+  // defaults would silently drop Threads (they fall back to convCost).
   double convCostAt(const ConvScenario &S, PrimitiveId Id,
                     unsigned Threads) override {
     return Inner.convCostAt(S, Id, Threads);

@@ -27,11 +27,11 @@ Layout altOutLayout(const PBQPFormulation &F, const PrimitiveLibrary &Lib,
 
 } // namespace
 
-PBQPFormulation primsel::buildPBQP(
-    const NetworkGraph &Net, const PrimitiveLibrary &Lib, CostProvider &Costs,
-    DTTableCache &Tables, bool AmortizeWeightTransforms,
-    const std::vector<unsigned> &ThreadCandidates,
-    const std::vector<std::vector<PrimitiveId>> *RestrictConv) {
+PBQPFormulation primsel::buildPBQP(const NetworkGraph &Net,
+                                   const PrimitiveLibrary &Lib,
+                                   CostProvider &Costs, DTTableCache &Tables,
+                                   bool AmortizeWeightTransforms,
+                                   const std::vector<unsigned> &ThreadCandidates) {
   PBQPFormulation F;
   F.ConvAlternatives.resize(Net.numNodes());
   F.ConvAltThreads.resize(Net.numNodes());
@@ -60,21 +60,6 @@ PBQPFormulation primsel::buildPBQP(
       assert(!Prims.empty() &&
              "no primitive supports a conv scenario (the reference "
              "routines should)");
-      // Optional per-node narrowing (batch-bucket solves restrict each
-      // node to the anchor routine's minibatch schedules).
-      if (RestrictConv && N < RestrictConv->size() &&
-          !(*RestrictConv)[N].empty()) {
-        const std::vector<PrimitiveId> &Allowed = (*RestrictConv)[N];
-        Prims.erase(std::remove_if(Prims.begin(), Prims.end(),
-                                   [&](PrimitiveId Id) {
-                                     return std::find(Allowed.begin(),
-                                                      Allowed.end(),
-                                                      Id) == Allowed.end();
-                                   }),
-                    Prims.end());
-        assert(!Prims.empty() &&
-               "restriction removed every supporting primitive");
-      }
       // (primitive, threads) cross product, thread-major: the layout-side
       // helpers below index ConvAlternatives[N][Alt] directly, so the
       // repeated primitive entries keep them correct with no thread logic.

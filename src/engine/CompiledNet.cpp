@@ -199,36 +199,38 @@ const Tensor3D &ExecutionContext::inputTensor(NetworkGraph::NodeId Consumer,
   return Values[Compiled->MPlan.inputValue(Compiled->Net, Consumer, Index)];
 }
 
-void primsel::detail::runDummyLayer(
-    const NetworkGraph::Node &Node,
-    const std::function<const Tensor3D &(unsigned)> &InputAt,
-    const AlignedBuffer &FcWeights, Tensor3D &Out, ThreadPool *PrimPool) {
+void ExecutionContext::runDummy(const NetworkGraph::Node &Node,
+                                NetworkGraph::NodeId N, Tensor3D &Out,
+                                ThreadPool *PrimPool) {
+  const Tensor3D &In = inputTensor(N, 0);
+  const std::vector<AlignedBuffer> &FcWeights = Compiled->FcWeights;
+
   switch (Node.L.Kind) {
   case LayerKind::ReLU:
-    reluOp(InputAt(0), Out);
+    reluOp(In, Out);
     break;
   case LayerKind::Bias:
-    biasOp(FcWeights.data(), InputAt(0), Out);
+    biasOp(FcWeights[N].data(), In, Out);
     break;
   case LayerKind::Dropout:
-    identityOp(InputAt(0), Out);
+    identityOp(In, Out);
     break;
   case LayerKind::Softmax:
-    softmaxOp(InputAt(0), Out);
+    softmaxOp(In, Out);
     break;
   case LayerKind::MaxPool:
   case LayerKind::AvgPool:
     poolOp(Node.L.Kind == LayerKind::MaxPool, Node.L.KernelSize,
-           Node.L.Stride, Node.L.Pad, InputAt(0), Out);
+           Node.L.Stride, Node.L.Pad, In, Out);
     break;
   case LayerKind::LRN:
-    lrnOp(InputAt(0), Out);
+    lrnOp(In, Out);
     break;
   case LayerKind::Concat:
   case LayerKind::Add: {
     std::vector<const Tensor3D *> Parts;
     for (unsigned I = 0; I < Node.Inputs.size(); ++I)
-      Parts.push_back(&InputAt(I));
+      Parts.push_back(&inputTensor(N, I));
     if (Node.L.Kind == LayerKind::Concat)
       concatOp(Parts, Out);
     else
@@ -236,10 +238,10 @@ void primsel::detail::runDummyLayer(
     break;
   }
   case LayerKind::GlobalAvgPool:
-    globalAvgPoolOp(InputAt(0), Out);
+    globalAvgPoolOp(In, Out);
     break;
   case LayerKind::FullyConnected:
-    fullyConnectedOp(FcWeights.data(), InputAt(0), Out, PrimPool);
+    fullyConnectedOp(FcWeights[N].data(), In, Out, PrimPool);
     break;
   case LayerKind::Input:
   case LayerKind::Conv:
@@ -252,14 +254,6 @@ void primsel::detail::runDummyLayer(
   // place by the same shared applier the conv wrapper uses.
   if (Node.L.Epi != EpilogueKind::None)
     applyEpilogue(Node.L.Epi, nullptr, Out);
-}
-
-void ExecutionContext::runDummy(const NetworkGraph::Node &Node,
-                                NetworkGraph::NodeId N, Tensor3D &Out,
-                                ThreadPool *PrimPool) {
-  detail::runDummyLayer(
-      Node, [&](unsigned I) -> const Tensor3D & { return inputTensor(N, I); },
-      Compiled->FcWeights[N], Out, PrimPool);
 }
 
 void ExecutionContext::executeStep(unsigned StepIndex, const Tensor3D &Input,

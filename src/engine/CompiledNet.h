@@ -42,7 +42,6 @@
 #include "support/AlignedBuffer.h"
 #include "tensor/Tensor.h"
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -50,7 +49,6 @@ namespace primsel {
 
 class ThreadPool;
 class ExecutionContext;
-class BatchExecutionContext;
 
 /// Compile-time knobs of a CompiledNet.
 struct CompileOptions {
@@ -135,7 +133,6 @@ public:
 
 private:
   friend class ExecutionContext;
-  friend class BatchExecutionContext;
 
   CompiledNet(const NetworkGraph &NetIn, const NetworkPlan &PlanIn,
               const PrimitiveLibrary &LibIn, const CompileOptions &Options);
@@ -219,22 +216,6 @@ private:
   /// Per-run tensors, indexed by ValueId (node outputs and chain hops).
   std::vector<Tensor3D> Values;
 };
-
-namespace detail {
-
-/// The one shared non-conv layer interpreter: run \p Node's operator over
-/// the inputs \p InputAt yields (by consumer input index) into \p Out,
-/// then apply any fused epilogue in place. \p FcWeights is the node's
-/// weight/bias buffer (FullyConnected / standalone Bias; ignored by other
-/// kinds). Both the single-image ExecutionContext and the batched
-/// BatchExecutionContext dispatch through this function, so there is
-/// exactly one dummy-layer execution path to trust.
-void runDummyLayer(const NetworkGraph::Node &Node,
-                   const std::function<const Tensor3D &(unsigned)> &InputAt,
-                   const AlignedBuffer &FcWeights, Tensor3D &Out,
-                   ThreadPool *PrimPool);
-
-} // namespace detail
 
 } // namespace primsel
 

@@ -2,13 +2,11 @@
 
 #include "engine/Engine.h"
 
-#include "batch/Minibatch.h"
 #include "runtime/Executor.h"
 #include "support/Timer.h"
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 
 using namespace primsel;
 
@@ -277,152 +275,6 @@ Engine::compile(const NetworkGraph &Net, const SelectionResult &R,
   if (Effective.Jit && Effective.JitOpts.CacheDir.empty())
     Effective.JitOpts.CacheDir = Opts.PlanCacheDir;
   return CompiledNet::build(R.executionGraph(Net), R.Plan, Lib, Effective);
-}
-
-namespace {
-
-/// FNV-1a over the anchor plan's per-node routine names -- the identity of
-/// the restriction a bucket solve runs under. It joins the bucket plan's
-/// cache key so a cached bucket plan is only ever served for the anchor
-/// whose routines it is pinned to.
-uint64_t anchorPlanFingerprint(const CompiledNet &Anchor) {
-  uint64_t H = 1469598103934665603ull;
-  auto Mix = [&H](const std::string &S) {
-    for (char C : S) {
-      H ^= static_cast<unsigned char>(C);
-      H *= 1099511628211ull;
-    }
-  };
-  const NetworkGraph &G = Anchor.graph();
-  for (NetworkGraph::NodeId N = 0; N < G.numNodes(); ++N) {
-    if (isDummyKind(G.node(N).L.Kind))
-      continue;
-    Mix(Anchor.library().get(Anchor.plan().ConvPrim[N]).name());
-    Mix("|");
-  }
-  return H;
-}
-
-} // namespace
-
-std::shared_ptr<const CompiledNet>
-Engine::compileBucket(const std::shared_ptr<const CompiledNet> &Anchor,
-                      int64_t Bucket, const CompileOptions &Options) {
-  assert(Anchor && "compileBucket needs an anchor artifact");
-  assert(&Anchor->library() == &Lib &&
-         "the anchor must be compiled from this engine's library");
-  if (Bucket <= 1)
-    return Anchor;
-
-  // The bucket's problem: the anchor's execution graph (passes already
-  // applied when it was compiled) re-instantiated at Scenario.Batch = B.
-  NetworkGraph BNet = Anchor->graph();
-  BNet.setBatch(Bucket);
-
-  // Restrict every conv node to the §8 minibatch wrappers of the anchor
-  // routine: the solver chooses the schedule (@bser/@bpar) and the thread
-  // count, never the routine -- which is what keeps every bucket's output
-  // bit-identical to the anchor, image by image.
-  std::vector<std::vector<PrimitiveId>> Restrict(BNet.numNodes());
-  for (NetworkGraph::NodeId N = 0; N < BNet.numNodes(); ++N) {
-    if (isDummyKind(BNet.node(N).L.Kind))
-      continue;
-    const ConvPrimitive &Base = Lib.get(Anchor->plan().ConvPrim[N]);
-    for (PrimitiveId Id = 0; Id < Lib.size(); ++Id) {
-      const auto *MB = dynamic_cast<const MinibatchPrimitive *>(&Lib.get(Id));
-      if (MB && &MB->base() == &Base)
-        Restrict[N].push_back(Id);
-    }
-    if (Restrict[N].empty()) {
-      std::fprintf(stderr,
-                   "primsel: no minibatch wrapper for '%s'; build the batch "
-                   "ladder over buildBatchedLibrary()\n",
-                   Base.name().c_str());
-      return nullptr;
-    }
-  }
-
-  // Layout transforms convert every image flowing along an edge, so their
-  // costs scale with the bucket; conv costs pass through (the scenario
-  // carries the batch). Threads forward to the engine's memoizing layer.
-  BatchTransformScaledProvider BucketCosts(costs(), Bucket);
-
-  PlanKey Key;
-  if (Plans) {
-    Key.NetworkFingerprint = fingerprintNetwork(BNet, Lib);
-    char Tag[64];
-    std::snprintf(Tag, sizeof(Tag), ":b%lld:anchor%016llx",
-                  static_cast<long long>(Bucket),
-                  static_cast<unsigned long long>(
-                      anchorPlanFingerprint(*Anchor)));
-    Key.CostIdentity = costIdentityFor(Raw, Opts.AmortizeWeightTransforms,
-                                       Opts.ExecThreadCandidates,
-                                       Opts.ConsiderJit) +
-                       Tag;
-    Key.SolverFingerprint = fingerprintSolver(Backend->name(),
-                                              Opts.SolverOptions);
-    Key.PassFingerprint = transforms::fingerprintPasses({});
-  }
-
-  NetworkPlan Plan;
-  if (Plans) {
-    if (std::optional<SelectionResult> Hit = Plans->lookup(Key, BNet, Lib))
-      Plan = std::move(Hit->Plan);
-  }
-  if (Plan.empty()) {
-    DTTableCache Tables(BucketCosts);
-    PBQPFormulation F = buildPBQP(
-        BNet, Lib, BucketCosts, Tables, Opts.AmortizeWeightTransforms,
-        normalizedThreadCandidates(Opts.ExecThreadCandidates), &Restrict);
-    SelectionResult R;
-    R.Backend = Backend->name();
-    R.Solver = Backend->solve(F.G, Opts.SolverOptions);
-    R.Plan = planFromSolution(F, R.Solver.Selection, BNet, Lib, Tables);
-    if (R.Plan.empty())
-      return nullptr;
-    R.ModelledCostMs = modelPlanCost(R.Plan, BNet, Lib, BucketCosts);
-    if (Plans)
-      Plans->store(Key, R, BNet, Lib);
-    Plan = std::move(R.Plan);
-  }
-
-  CompileOptions Effective = Options;
-  if (Effective.Jit && Effective.JitOpts.CacheDir.empty())
-    Effective.JitOpts.CacheDir = Opts.PlanCacheDir;
-  return CompiledNet::build(BNet, Plan, Lib, Effective);
-}
-
-std::shared_ptr<CompiledNetLadder>
-Engine::compileLadder(const NetworkGraph &Net, const LadderOptions &Options) {
-  // Normalize the ladder: clamp to >= 1, sort, deduplicate, force bucket 1
-  // (the anchor). An empty list means powers of two up to MaxBatch.
-  std::vector<int64_t> Buckets = Options.Buckets;
-  if (Buckets.empty())
-    for (int64_t B = 1; B <= std::max<int64_t>(1, Options.MaxBatch); B *= 2)
-      Buckets.push_back(B);
-  for (int64_t &B : Buckets)
-    B = std::max<int64_t>(1, B);
-  std::sort(Buckets.begin(), Buckets.end());
-  Buckets.erase(std::unique(Buckets.begin(), Buckets.end()), Buckets.end());
-  if (Buckets.front() != 1)
-    Buckets.insert(Buckets.begin(), 1);
-
-  // The anchor: the model solved and compiled at batch 1 through the full
-  // engine pipeline (passes included); buckets re-solve its execution
-  // graph, so rewrites happen exactly once per ladder.
-  NetworkGraph Anchor = Net;
-  Anchor.setBatch(1);
-  std::shared_ptr<const CompiledNet> Bucket1 = compile(Anchor, Options.Compile);
-  if (!Bucket1)
-    return nullptr;
-
-  auto Compiler = [this, Bucket1,
-                   BucketCompile = Options.Compile](int64_t B) {
-    return compileBucket(Bucket1, B, BucketCompile);
-  };
-  return std::make_shared<CompiledNetLadder>(std::move(Buckets), Bucket1,
-                                             std::move(Compiler),
-                                             Options.Background);
 }
 
 std::unique_ptr<Executor> Engine::instantiate(const NetworkGraph &Net,

@@ -40,7 +40,6 @@
 #include "core/Selector.h"
 #include "core/Strategies.h"
 #include "engine/CompiledNet.h"
-#include "engine/Ladder.h"
 #include "engine/PlanCache.h"
 #include "pbqp/SolverBackend.h"
 
@@ -157,33 +156,6 @@ public:
   std::shared_ptr<const CompiledNet>
   compile(const NetworkGraph &Net, const SelectionResult &R,
           const CompileOptions &Options = {}) const;
-
-  /// Batch-ladder entry point (engine/Ladder.h): normalize \p Net to batch
-  /// 1, optimize and compile the anchor artifact, and build the bucket
-  /// ladder over it. Each remaining bucket is compiled by compileBucket --
-  /// on the ladder's background thread (LadderOptions::Background) or
-  /// synchronously in this call. Requires a library with the §8 minibatch
-  /// wrappers (batch/Minibatch.h buildBatchedLibrary); returns null when
-  /// the anchor fails to optimize. The engine must outlive the ladder, and
-  /// while a background ladder is live the ladder's thread must be the
-  /// engine's only user (compiles re-enter optimize()).
-  std::shared_ptr<CompiledNetLadder>
-  compileLadder(const NetworkGraph &Net, const LadderOptions &Options = {});
-
-  /// One batch bucket of a ladder: re-solve \p Anchor's execution graph at
-  /// Scenario.Batch = \p Bucket, with each conv node restricted to the §8
-  /// minibatch wrappers of the anchor plan's routine -- the solver chooses
-  /// only the schedule (@bser / @bpar) and thread count, so every bucket
-  /// computes bit-identically to the anchor, image by image. Transform
-  /// edge costs scale by the bucket (BatchTransformScaledProvider) and the
-  /// bucket + anchor fingerprint join the plan-cache cost identity, so
-  /// bucket plans hit the same warm PlanCache as everything else without
-  /// ever mixing with batch-1 plans. Returns null when the library lacks
-  /// wrappers for an anchor routine or the solve fails. Exposed for tests
-  /// and the fleet; serving goes through compileLadder.
-  std::shared_ptr<const CompiledNet>
-  compileBucket(const std::shared_ptr<const CompiledNet> &Anchor,
-                int64_t Bucket, const CompileOptions &Options = {});
 
   /// As optimize(Net), but with one-off options (e.g. a different backend
   /// for a cross-check, or different solver knobs). Only Options.Solver,

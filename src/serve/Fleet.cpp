@@ -43,40 +43,6 @@ void ModelRegistry::makeRoomLocked(size_t NeedBytes, const Entry *Keep) {
   if (Opts.MemBudgetBytes == 0)
     return;
   while (Counters.ResidentBytes + NeedBytes > Opts.MemBudgetBytes) {
-    // Cold ladder buckets go first: dropping a bucket costs only a
-    // fallback to the per-slot path for that batch size, while dropping a
-    // whole model costs a full prepare on readmission. Victim: the LRU
-    // entry that still holds an evictable (non-anchor) rung.
-    Entry *LadderVictim = nullptr;
-    for (auto &KV : Models) {
-      Entry &E = KV.second;
-      if (&E == Keep || !E.Ladder)
-        continue;
-      bool HasEvictable = false;
-      for (const CompiledNetLadder::Rung &R : E.Ladder->residentRungs())
-        if (R.Bucket > 1) {
-          HasEvictable = true;
-          break;
-        }
-      if (!HasEvictable)
-        continue;
-      if (!LadderVictim || E.LastUse < LadderVictim->LastUse)
-        LadderVictim = &E;
-    }
-    if (LadderVictim) {
-      CompiledNetLadder::Rung Dropped =
-          LadderVictim->Ladder->evictColdestBucket();
-      if (Dropped.Artifact) {
-        size_t Freed =
-            artifactBytes(*Dropped.Artifact, Opts.ArenaSlabsPerModel);
-        Freed = std::min(Freed, LadderVictim->Bytes);
-        LadderVictim->Bytes -= Freed;
-        Counters.ResidentBytes -= Freed;
-        ++Counters.BucketEvictions;
-        continue;
-      }
-    }
-
     // LRU victim among resident entries (never the one being published).
     Entry *Victim = nullptr;
     for (auto &KV : Models) {
@@ -89,7 +55,6 @@ void ModelRegistry::makeRoomLocked(size_t NeedBytes, const Entry *Keep) {
     assert(Victim && "budget admits NeedBytes once the fleet is evicted");
     std::atomic_store(&Victim->Artifact,
                       std::shared_ptr<const CompiledNet>());
-    Victim->Ladder.reset();
     Counters.ResidentBytes -= Victim->Bytes;
     Victim->Bytes = 0;
     ++Counters.Evictions;
@@ -127,30 +92,12 @@ ModelRegistry::acquire(const std::string &Name) {
   // The Engine's cost cache and PlanCache are shared mutable state, so
   // Engine use itself is serialized.
   std::shared_ptr<const CompiledNet> CN;
-  std::shared_ptr<CompiledNetLadder> Ladder;
   bool CacheHit = false;
   {
     std::lock_guard<std::mutex> EG(EngineMutex);
-    if (Opts.LadderBuckets.empty()) {
-      SelectionResult R = Eng.optimize(E.Net);
-      CacheHit = R.PlanCacheHit;
-      CN = Eng.compile(E.Net, R, Opts.Compile);
-    } else {
-      // Ladder mode: the whole ladder compiles here, synchronously, so
-      // the budget sees every rung at once and lane dispatch never waits
-      // on a background compile. A warm PlanCache pays no solve for any
-      // bucket -- detected through the shared cache's miss counter.
-      const PlanCacheStats *PS = Eng.planCacheStats();
-      uint64_t MissesBefore = PS ? PS->Misses : 0;
-      LadderOptions LO;
-      LO.Buckets = Opts.LadderBuckets;
-      LO.Background = false;
-      LO.Compile = Opts.Compile;
-      Ladder = Eng.compileLadder(E.Net, LO);
-      if (Ladder)
-        CN = Ladder->bucket(1);
-      CacheHit = PS && PS->Misses == MissesBefore;
-    }
+    SelectionResult R = Eng.optimize(E.Net);
+    CacheHit = R.PlanCacheHit;
+    CN = Eng.compile(E.Net, R, Opts.Compile);
   }
 
   Lock.lock();
@@ -162,8 +109,7 @@ ModelRegistry::acquire(const std::string &Name) {
   else
     ++Counters.Solves;
   if (!CN) {
-    // Optimize/ladder-compile failure (e.g. a ladder over a library
-    // without minibatch wrappers): the model stays unavailable.
+    // Optimize failure (no plan): the model stays unavailable.
     ++Counters.Unavailable;
     return nullptr;
   }
@@ -178,24 +124,7 @@ ModelRegistry::acquire(const std::string &Name) {
     return Cur;
   }
 
-  size_t Bytes = 0;
-  if (Ladder) {
-    // The resident ladder, charged whole. If it alone busts the budget,
-    // shed its own coldest buckets first; only an anchor that still does
-    // not fit makes the model unavailable.
-    for (const CompiledNetLadder::Rung &R : Ladder->residentRungs())
-      Bytes += artifactBytes(*R.Artifact, Opts.ArenaSlabsPerModel);
-    while (Opts.MemBudgetBytes != 0 && Bytes > Opts.MemBudgetBytes) {
-      CompiledNetLadder::Rung Dropped = Ladder->evictColdestBucket();
-      if (!Dropped.Artifact)
-        break;
-      Bytes -= std::min(
-          Bytes, artifactBytes(*Dropped.Artifact, Opts.ArenaSlabsPerModel));
-      ++Counters.BucketEvictions;
-    }
-  } else {
-    Bytes = artifactBytes(*CN, Opts.ArenaSlabsPerModel);
-  }
+  size_t Bytes = artifactBytes(*CN, Opts.ArenaSlabsPerModel);
   if (Opts.MemBudgetBytes != 0 && Bytes > Opts.MemBudgetBytes) {
     // The artifact alone busts the budget: never publish it. The compile
     // still warmed the shared PlanCache, so a later, larger budget serves
@@ -205,20 +134,12 @@ ModelRegistry::acquire(const std::string &Name) {
   }
   makeRoomLocked(Bytes, &E);
   std::atomic_store(&E.Artifact, CN);
-  E.Ladder = Ladder;
   E.Bytes = Bytes;
   E.LastUse = ++UseTick;
   Counters.ResidentBytes += Bytes;
   Counters.PeakResidentBytes =
       std::max(Counters.PeakResidentBytes, Counters.ResidentBytes);
   return CN;
-}
-
-std::shared_ptr<CompiledNetLadder>
-ModelRegistry::ladderOf(const std::string &Name) const {
-  std::lock_guard<std::mutex> G(Mutex);
-  auto It = Models.find(Name);
-  return It == Models.end() ? nullptr : It->second.Ladder;
 }
 
 std::shared_ptr<const CompiledNet>
@@ -249,10 +170,6 @@ bool ModelRegistry::swap(const std::string &Name,
     Counters.ResidentBytes -= E.Bytes;
     E.Bytes = 0;
   }
-  // A swap publishes a plain artifact; a previous ladder (whose anchor is
-  // being replaced) is dropped with it -- lanes fall back to the per-slot
-  // path until the model is readmitted through acquire().
-  E.Ladder.reset();
   makeRoomLocked(Bytes, &E);
   std::atomic_store(&E.Artifact, std::move(Artifact));
   E.Bytes = Bytes;
@@ -302,7 +219,6 @@ bool ModelRegistry::evict(const std::string &Name) {
   if (!std::atomic_load(&E.Artifact))
     return false;
   std::atomic_store(&E.Artifact, std::shared_ptr<const CompiledNet>());
-  E.Ladder.reset();
   Counters.ResidentBytes -= E.Bytes;
   E.Bytes = 0;
   ++Counters.Evictions;
@@ -415,8 +331,6 @@ LaneStats FleetServer::laneStats(const std::string &Model) const {
   S.Exec.RequestsExecuted = L.RequestsExecuted.load(std::memory_order_relaxed);
   S.Exec.BatchesExecuted = L.BatchesExecuted.load(std::memory_order_relaxed);
   S.Exec.DeadlineMisses = L.DeadlineMisses.load(std::memory_order_relaxed);
-  S.Exec.BatchedBatches = L.BatchedBatches.load(std::memory_order_relaxed);
-  S.Exec.FallbackBatches = L.FallbackBatches.load(std::memory_order_relaxed);
   S.UnavailableBatches = L.UnavailableBatches.load(std::memory_order_relaxed);
   S.UnavailableRequests = L.UnavailableRequests.load(std::memory_order_relaxed);
   return S;
@@ -438,14 +352,6 @@ void FleetServer::laneLoop(Lane &L) {
   // the snapshot's prepared kernels, so they rebuild when it changes.
   std::shared_ptr<const CompiledNet> Snap;
   std::vector<std::unique_ptr<ExecutionContext>> Slots;
-
-  // Ladder mode: one batched context per bucket, revalidated against the
-  // rung's artifact inside executeBatchLadder (so bucket eviction and
-  // ladder replacement rebind at the next batch boundary, same as Slots).
-  std::map<int64_t, std::unique_ptr<BatchExecutionContext>> BucketContexts;
-  ExecutionContextOptions LadderOpts;
-  LadderOpts.Threads = PoolWidth;
-  LadderOpts.UseArena = Opts.UseArena;
 
   Batch B;
   while (L.Queue->waitPop(B)) {
@@ -469,20 +375,12 @@ void FleetServer::laneLoop(Lane &L) {
     }
     if (CN != Snap) {
       Slots.clear();
-      BucketContexts.clear();
       Snap = std::move(CN);
     }
 
     size_t K = B.Requests.size();
-    std::shared_ptr<CompiledNetLadder> Ladder = Reg.ladderOf(L.Name);
-    if (Ladder && executeBatchLadder(*Ladder, B, BucketContexts, LadderOpts,
-                                     Clk, L.DeadlineMisses)) {
-      L.BatchedBatches.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      executeBatch(Snap, B, Slots, CtxOpts, SlotPool, Clk, L.DeadlineMisses,
-                   MaxSlots);
-      L.FallbackBatches.fetch_add(1, std::memory_order_relaxed);
-    }
+    executeBatch(Snap, B, Slots, CtxOpts, SlotPool, Clk, L.DeadlineMisses,
+                 MaxSlots);
     L.RequestsExecuted.fetch_add(K, std::memory_order_relaxed);
     L.BatchesExecuted.fetch_add(1, std::memory_order_relaxed);
     B.Requests.clear();

@@ -68,17 +68,6 @@ struct RegistryOptions {
   unsigned ArenaSlabsPerModel = 1;
   /// Compile-time knobs forwarded to Engine::compile.
   CompileOptions Compile;
-  /// Batch-bucket ladder per model (engine/Ladder.h). Non-empty: the first
-  /// acquire() of a model compiles its whole ladder synchronously (so
-  /// budget accounting sees it at once) and charges the sum of the
-  /// resident rungs' artifactBytes to the budget; under pressure, cold
-  /// buckets (never the anchor) are evicted fleet-wide before any whole
-  /// model is, and an evicted bucket stays evicted -- the ladder serves
-  /// the remaining rungs and the per-slot fallback covers the gap. Lanes
-  /// serve through the ladder via ladderOf(). Empty = batch-1 artifacts
-  /// only, the historical behavior. Requires an engine over a library with
-  /// the §8 minibatch wrappers (buildBatchedLibrary).
-  std::vector<int64_t> LadderBuckets;
 };
 
 /// Monotonic registry counters; a consistent snapshot is returned by
@@ -90,8 +79,6 @@ struct RegistryStats {
                               ///< solve (served from the shared PlanCache)
   uint64_t Solves = 0;       ///< compiles that paid a PBQP solve
   uint64_t Evictions = 0;    ///< artifacts dropped for budget headroom
-  uint64_t BucketEvictions = 0; ///< ladder rungs dropped before any whole
-                                ///< model (ladder mode only)
   uint64_t Swaps = 0;        ///< hot-swap publishes
   uint64_t Unavailable = 0;  ///< acquire() failures (unknown model or
                              ///< artifact alone exceeds the budget)
@@ -126,12 +113,6 @@ public:
   /// or not resident. Never compiles; the pointer read is atomic, so a
   /// concurrent swap yields old-or-new, never torn.
   std::shared_ptr<const CompiledNet> current(const std::string &Name) const;
-
-  /// The model's resident bucket ladder (ladder mode only; null when the
-  /// registry runs batch-1 artifacts, the model is unknown, not resident,
-  /// or was hot-swapped to a plain artifact). Never compiles; lanes
-  /// re-read it per batch, like the artifact snapshot.
-  std::shared_ptr<CompiledNetLadder> ladderOf(const std::string &Name) const;
 
   /// RCU hot-swap: atomically publish \p Artifact as \p Name's artifact.
   /// In-flight requests drain on the old artifact through the shared_ptr
@@ -181,21 +162,15 @@ private:
     /// Published artifact; read/written with std::atomic_load/_store so
     /// swap is a torn-free RCU publish. Null when evicted/not yet built.
     std::shared_ptr<const CompiledNet> Artifact;
-    /// Ladder mode: the model's resident bucket ladder (Artifact is its
-    /// anchor). Dropped on whole-model eviction and on hot-swap to a
-    /// plain artifact; accessed under Mutex.
-    std::shared_ptr<CompiledNetLadder> Ladder;
-    size_t Bytes = 0;     ///< accounted bytes while resident (whole ladder)
+    size_t Bytes = 0;     ///< accounted bytes while resident
     uint64_t LastUse = 0; ///< LRU tick of the last acquire/swap
     bool Compiling = false; ///< a thread is building this artifact
     unsigned Order = 0;     ///< registration order
   };
 
-  /// Evict until \p NeedBytes fits under the budget -- cold ladder buckets
-  /// first (coldest non-anchor rung of the LRU ladder-holding entry,
-  /// fleet-wide), whole LRU models only once no bucket is left to drop.
-  /// Never touches \p Keep. Requires Mutex held; always succeeds because
-  /// the caller checked NeedBytes <= MemBudgetBytes.
+  /// Evict LRU resident entries (never \p Keep) until \p NeedBytes fits
+  /// under the budget. Requires Mutex held; always succeeds because the
+  /// caller checked NeedBytes <= MemBudgetBytes.
   void makeRoomLocked(size_t NeedBytes, const Entry *Keep);
 
   Engine &Eng;
@@ -273,8 +248,6 @@ private:
     std::atomic<uint64_t> RequestsExecuted{0};
     std::atomic<uint64_t> BatchesExecuted{0};
     std::atomic<uint64_t> DeadlineMisses{0};
-    std::atomic<uint64_t> BatchedBatches{0};
-    std::atomic<uint64_t> FallbackBatches{0};
     std::atomic<uint64_t> UnavailableBatches{0};
     std::atomic<uint64_t> UnavailableRequests{0};
   };

@@ -54,48 +54,6 @@ void primsel::serve::executeBatch(
     Slots.resize(MaxRetainedSlots);
 }
 
-bool primsel::serve::executeBatchLadder(
-    CompiledNetLadder &Ladder, Batch &B,
-    std::map<int64_t, std::unique_ptr<BatchExecutionContext>> &Contexts,
-    const ExecutionContextOptions &CtxOpts, Clock &Clk,
-    std::atomic<uint64_t> &DeadlineMisses) {
-  size_t K = B.Requests.size();
-  CompiledNetLadder::Rung Rung = Ladder.acquire(static_cast<int64_t>(K));
-  if (!Rung.Artifact)
-    return false;
-
-  // One cached context per bucket per worker, revalidated by artifact
-  // identity: an evicted-then-recompiled bucket yields a fresh artifact,
-  // and a stale context must not keep serving (or pinning) the old one.
-  std::unique_ptr<BatchExecutionContext> &Ctx = Contexts[Rung.Bucket];
-  if (!Ctx || &Ctx->compiled() != Rung.Artifact.get())
-    Ctx = std::make_unique<BatchExecutionContext>(Rung.Artifact, CtxOpts);
-
-  // Gather -> ONE batched interpretation (the bucket's own §8 plan:
-  // @bser/@bpar and thread count per layer) -> scatter per-image outputs.
-  std::vector<const Tensor3D *> Inputs;
-  Inputs.reserve(K);
-  for (BatchRequest &Rq : B.Requests)
-    Inputs.push_back(Rq.Input);
-  Ctx->run(Inputs);
-
-  TimeNs DoneNs = Clk.now();
-  for (size_t I = 0; I < K; ++I) {
-    BatchRequest &Rq = B.Requests[I];
-    ServeResponse Resp;
-    Resp.Status = ServeStatus::Ok;
-    Resp.Output = cloneTensor(Ctx->output(I));
-    Resp.BatchSize = static_cast<unsigned>(K);
-    Resp.QueueNs = B.FormedNs - Rq.ArrivalNs;
-    Resp.TotalNs = DoneNs - Rq.ArrivalNs;
-    Resp.MissedDeadline = Rq.DeadlineNs != 0 && DoneNs > Rq.DeadlineNs;
-    if (Resp.MissedDeadline)
-      DeadlineMisses.fetch_add(1, std::memory_order_relaxed);
-    Rq.Done.set_value(std::move(Resp));
-  }
-  return true;
-}
-
 Server::Server(std::shared_ptr<const CompiledNet> Compiled,
                const ServerOptions &Options, Clock &Clk)
     : Net(std::move(Compiled)), Opts(Options), Queue(Options.Batch, Clk) {
@@ -127,8 +85,6 @@ ServerStats Server::stats() const {
   S.RequestsExecuted = RequestsExecuted.load(std::memory_order_relaxed);
   S.BatchesExecuted = BatchesExecuted.load(std::memory_order_relaxed);
   S.DeadlineMisses = DeadlineMisses.load(std::memory_order_relaxed);
-  S.BatchedBatches = BatchedBatches.load(std::memory_order_relaxed);
-  S.FallbackBatches = FallbackBatches.load(std::memory_order_relaxed);
   return S;
 }
 
@@ -150,25 +106,11 @@ void Server::workerLoop() {
   ThreadPool SlotPool(PoolWidth);
   Clock &Clk = Queue.clock();
 
-  // Ladder mode: one batched context per resident bucket, each given the
-  // full pool width -- the bucket's plan decides per layer whether the
-  // pool works inside a primitive (@bser) or across images (@bpar).
-  std::map<int64_t, std::unique_ptr<BatchExecutionContext>> BucketContexts;
-  ExecutionContextOptions LadderOpts;
-  LadderOpts.Threads = PoolWidth;
-  LadderOpts.UseArena = Opts.UseArena;
-
   Batch B;
   while (Queue.waitPop(B)) {
     size_t K = B.Requests.size();
-    if (Opts.Ladder && executeBatchLadder(*Opts.Ladder, B, BucketContexts,
-                                          LadderOpts, Clk, DeadlineMisses)) {
-      BatchedBatches.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      executeBatch(Net, B, Slots, CtxOpts, SlotPool, Clk, DeadlineMisses,
-                   MaxSlots);
-      FallbackBatches.fetch_add(1, std::memory_order_relaxed);
-    }
+    executeBatch(Net, B, Slots, CtxOpts, SlotPool, Clk, DeadlineMisses,
+                 MaxSlots);
     RequestsExecuted.fetch_add(K, std::memory_order_relaxed);
     BatchesExecuted.fetch_add(1, std::memory_order_relaxed);
     B.Requests.clear();

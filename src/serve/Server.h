@@ -26,13 +26,10 @@
 #ifndef PRIMSEL_SERVE_SERVER_H
 #define PRIMSEL_SERVE_SERVER_H
 
-#include "engine/BatchContext.h"
 #include "engine/CompiledNet.h"
-#include "engine/Ladder.h"
 #include "serve/Batcher.h"
 
 #include <atomic>
-#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -44,8 +41,8 @@ class ThreadPool;
 namespace serve {
 
 /// Run every request of \p B on \p Net and resolve its promise with an Ok
-/// response -- the per-slot execution path shared by the single-model
-/// Server and the fleet lanes, so both are bit-identical to the sequential
+/// response -- the one execution path shared by the single-model Server
+/// and the fleet lanes, so both are bit-identical to the sequential
 /// Executor by construction. Grows \p Slots (one ExecutionContext per
 /// batch slot, created with \p CtxOpts) on demand and runs the slots
 /// concurrently on \p SlotPool; callers reuse both across batches.
@@ -61,22 +58,6 @@ void executeBatch(const std::shared_ptr<const CompiledNet> &Net, Batch &B,
                   Clock &Clk, std::atomic<uint64_t> &DeadlineMisses,
                   size_t MaxRetainedSlots = 0);
 
-/// Ladder dispatch (engine/Ladder.h): run every request of \p B through
-/// ONE batched interpretation on the smallest resident bucket >= K,
-/// scattering the per-image outputs to each request's promise. Returns
-/// false -- leaving \p B untouched -- when no resident bucket can hold K;
-/// the caller falls back to the per-slot executeBatch for this batch while
-/// the ladder's background thread compiles the missing bucket (the request
-/// path never waits on a PBQP solve). \p Contexts caches one
-/// BatchExecutionContext per bucket per worker, revalidated against the
-/// rung's artifact so eviction + recompile swaps rebind cleanly. Shared by
-/// the single-model Server and the fleet lanes.
-bool executeBatchLadder(
-    CompiledNetLadder &Ladder, Batch &B,
-    std::map<int64_t, std::unique_ptr<BatchExecutionContext>> &Contexts,
-    const ExecutionContextOptions &CtxOpts, Clock &Clk,
-    std::atomic<uint64_t> &DeadlineMisses);
-
 /// Server configuration.
 struct ServerOptions {
   /// Batching policy (max batch size, batching window, admission bound).
@@ -91,12 +72,6 @@ struct ServerOptions {
   unsigned BatchThreads = 0;
   /// Back each slot context's intermediates with its own arena slab.
   bool UseArena = true;
-  /// Batch-bucketed plan ladder (engine/Ladder.h). When set, workers serve
-  /// each popped batch through one batched context on the smallest
-  /// resident bucket >= K -- the real §8 minibatch plans -- falling back
-  /// to the per-slot path only while a bucket is still compiling in the
-  /// background. Null = the historical per-slot path.
-  std::shared_ptr<CompiledNetLadder> Ladder;
 };
 
 /// Per-server execution counters (the queue-side counters live in
@@ -106,11 +81,6 @@ struct ServerStats {
   uint64_t BatchesExecuted = 0;
   /// Requests that completed Ok but after their deadline.
   uint64_t DeadlineMisses = 0;
-  /// Batches served through a ladder bucket's batched context.
-  uint64_t BatchedBatches = 0;
-  /// Batches that fell back to the per-slot path (no ladder, or the
-  /// bucket was still compiling). After ladder warmup this stops growing.
-  uint64_t FallbackBatches = 0;
 };
 
 /// A running batched-inference server over one immutable CompiledNet.
@@ -159,8 +129,6 @@ private:
   std::atomic<uint64_t> RequestsExecuted{0};
   std::atomic<uint64_t> BatchesExecuted{0};
   std::atomic<uint64_t> DeadlineMisses{0};
-  std::atomic<uint64_t> BatchedBatches{0};
-  std::atomic<uint64_t> FallbackBatches{0};
 };
 
 } // namespace serve

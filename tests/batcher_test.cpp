@@ -3,7 +3,8 @@
 // The serve/ front end: batching policy (full batch fires early, window
 // expiry fires partial batches), admission control (queue bound,
 // dead-on-arrival and expired-in-queue deadlines), cancellation, the
-// exactly-once completion contract, and drain-on-shutdown.
+// exactly-once completion contract, drain-on-shutdown, and executeBatch's
+// per-request latency/deadline accounting and slot retention.
 //
 // Every policy test drives a VirtualClock: time moves only when the test
 // says so, so window expiry and deadline rejections are exact, with zero
@@ -20,11 +21,14 @@
 #include "engine/Engine.h"
 #include "nn/Models.h"
 #include "runtime/Executor.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -474,6 +478,120 @@ TEST(Server, VirtualClockDrivesBatchWindow) {
   EXPECT_EQ(RC.QueueNs, 3 * nsPerMs);
   Srv.shutdown();
   EXPECT_EQ(Srv.batcherStats().TimeoutBatches, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// executeBatch accounting (VirtualClock)
+//===----------------------------------------------------------------------===//
+
+Tensor3D inputFor(const NetworkGraph &Net, uint64_t Seed) {
+  const TensorShape &Sh = Net.node(0).OutShape;
+  Tensor3D T(Sh.C, Sh.H, Sh.W, Layout::CHW);
+  T.fillRandom(Seed);
+  return T;
+}
+
+/// Hand-built batch: \p Specs are (ArrivalNs, DeadlineNs) pairs; futures
+/// come back in the same order.
+Batch makeBatch(const Tensor3D &Input, TimeNs FormedNs,
+                const std::vector<std::pair<TimeNs, TimeNs>> &Specs,
+                std::vector<std::future<ServeResponse>> &Futures) {
+  Batch B;
+  B.FormedNs = FormedNs;
+  uint64_t Id = 1;
+  for (const auto &[ArrivalNs, DeadlineNs] : Specs) {
+    BatchRequest Rq;
+    Rq.Id = Id++;
+    Rq.Input = &Input;
+    Rq.ArrivalNs = ArrivalNs;
+    Rq.DeadlineNs = DeadlineNs;
+    Futures.push_back(Rq.Done.get_future());
+    B.Requests.push_back(std::move(Rq));
+  }
+  return B;
+}
+
+TEST(ExecuteBatch, LatencyAndDeadlineAccountingUnderVirtualClock) {
+  PrimitiveLibrary Lib = buildFullLibrary();
+  AnalyticCostProvider Prov(Lib, MachineProfile::haswell(), 1);
+  std::shared_ptr<const CompiledNet> CN = compileTiny(Lib, Prov);
+  ASSERT_NE(CN, nullptr);
+  Tensor3D Input = inputFor(CN->graph(), 5);
+
+  // Execution happens at t = 5 ms. A mixed batch: one deadline already
+  // blown, one generous, one absent.
+  VirtualClock Clk;
+  Clk.advanceTo(5 * nsPerMs);
+  std::vector<std::future<ServeResponse>> Futures;
+  Batch B = makeBatch(Input, /*FormedNs=*/3 * nsPerMs,
+                      {{1 * nsPerMs, 4 * nsPerMs},   // late: done at 5 > 4
+                       {2 * nsPerMs, 100 * nsPerMs}, // comfortably early
+                       {3 * nsPerMs, 0}},            // no deadline
+                      Futures);
+
+  std::vector<std::unique_ptr<ExecutionContext>> Slots;
+  ExecutionContextOptions CtxOpts;
+  ThreadPool Pool(1);
+  std::atomic<uint64_t> Misses{0};
+  executeBatch(CN, B, Slots, CtxOpts, Pool, Clk, Misses);
+
+  std::vector<ServeResponse> R;
+  for (auto &F : Futures)
+    R.push_back(F.get());
+  ASSERT_EQ(R.size(), 3u);
+  // Queue time = formation - arrival, non-negative for every request.
+  EXPECT_EQ(R[0].QueueNs, 2 * nsPerMs);
+  EXPECT_EQ(R[1].QueueNs, 1 * nsPerMs);
+  EXPECT_EQ(R[2].QueueNs, 0);
+  // Total = done - arrival under the frozen clock.
+  EXPECT_EQ(R[0].TotalNs, 4 * nsPerMs);
+  EXPECT_EQ(R[1].TotalNs, 3 * nsPerMs);
+  EXPECT_EQ(R[2].TotalNs, 2 * nsPerMs);
+  // Exactly one miss: flagged on the late response, counted once, and a
+  // zero deadline never misses.
+  EXPECT_TRUE(R[0].MissedDeadline);
+  EXPECT_FALSE(R[1].MissedDeadline);
+  EXPECT_FALSE(R[2].MissedDeadline);
+  EXPECT_EQ(Misses.load(), 1u);
+  // Every response of the mixed batch reports the whole batch's size.
+  for (const ServeResponse &Resp : R) {
+    EXPECT_TRUE(Resp.ok());
+    EXPECT_EQ(Resp.BatchSize, 3u);
+  }
+}
+
+TEST(ExecuteBatch, RetentionCapReleasesOversizedSlotPool) {
+  PrimitiveLibrary Lib = buildFullLibrary();
+  AnalyticCostProvider Prov(Lib, MachineProfile::haswell(), 1);
+  std::shared_ptr<const CompiledNet> CN = compileTiny(Lib, Prov);
+  ASSERT_NE(CN, nullptr);
+  Tensor3D Input = inputFor(CN->graph(), 5);
+  VirtualClock Clk;
+  std::vector<std::unique_ptr<ExecutionContext>> Slots;
+  ExecutionContextOptions CtxOpts;
+  ThreadPool Pool(2);
+  std::atomic<uint64_t> Misses{0};
+
+  // A 5-request burst grows the pool to 5; the cap of 2 must shed the
+  // excess after the batch drains.
+  std::vector<std::future<ServeResponse>> Futures;
+  Batch B = makeBatch(Input, 0, {{0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0}},
+                      Futures);
+  executeBatch(CN, B, Slots, CtxOpts, Pool, Clk, Misses,
+               /*MaxRetainedSlots=*/2);
+  for (auto &F : Futures)
+    EXPECT_TRUE(F.get().ok());
+  EXPECT_EQ(Slots.size(), 2u);
+
+  // The retained contexts stay warm and serve the next batch; an
+  // uncapped call retains everything it grew.
+  std::vector<std::future<ServeResponse>> Futures2;
+  Batch B2 = makeBatch(Input, 0, {{0, 0}, {0, 0}, {0, 0}}, Futures2);
+  executeBatch(CN, B2, Slots, CtxOpts, Pool, Clk, Misses,
+               /*MaxRetainedSlots=*/0);
+  for (auto &F : Futures2)
+    EXPECT_TRUE(F.get().ok());
+  EXPECT_EQ(Slots.size(), 3u);
 }
 
 } // namespace

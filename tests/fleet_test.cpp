@@ -13,7 +13,6 @@
 
 #include "serve/Fleet.h"
 
-#include "batch/Minibatch.h"
 #include "cost/AnalyticModel.h"
 #include "nn/Models.h"
 #include "runtime/Executor.h"
@@ -438,179 +437,6 @@ TEST(FleetServer, HotSwapRacingSubmittersSeeOldOrNewNeverTorn) {
   RegistryStats S = Reg.stats();
   EXPECT_EQ(S.Swaps, 4u);
   EXPECT_GE(S.PlanCacheHits, 4u); // rebuilds come from the warm cache
-}
-
-//===----------------------------------------------------------------------===//
-// Batch-ladder fleets (RegistryOptions::LadderBuckets)
-//===----------------------------------------------------------------------===//
-
-/// FleetHarness over the batched library: ladder bucket solves select
-/// among the §8 minibatch wrappers.
-struct FleetBatchedHarness {
-  PrimitiveLibrary Lib = buildBatchedLibrary();
-  AnalyticCostProvider Prov{Lib, MachineProfile::haswell(), 1};
-  EngineOptions EOpts;
-  std::unique_ptr<Engine> Eng;
-
-  FleetBatchedHarness() {
-    EOpts.AmortizeWeightTransforms = true;
-    EOpts.CachePlans = true;
-    Eng = std::make_unique<Engine>(Lib, Prov, EOpts);
-  }
-};
-
-/// Whole-ladder byte cost of \p Net under \p Buckets, measured through a
-/// probe engine so the test engine's accounting stays clean.
-size_t ladderBytes(PrimitiveLibrary &Lib, AnalyticCostProvider &Prov,
-                   NetworkGraph Net, const std::vector<int64_t> &Buckets,
-                   unsigned Slabs) {
-  EngineOptions EOpts;
-  EOpts.AmortizeWeightTransforms = true;
-  Engine Probe(Lib, Prov, EOpts);
-  LadderOptions LO;
-  LO.Buckets = Buckets;
-  LO.Background = false;
-  std::shared_ptr<CompiledNetLadder> L = Probe.compileLadder(Net, LO);
-  size_t Sum = 0;
-  for (const CompiledNetLadder::Rung &R : L->residentRungs())
-    Sum += ModelRegistry::artifactBytes(*R.Artifact, Slabs);
-  return Sum;
-}
-
-TEST(FleetLadder, FirstAcquireCompilesWholeLadderAndChargesIt) {
-  FleetBatchedHarness H;
-  RegistryOptions ROpts;
-  ROpts.ArenaSlabsPerModel = 2;
-  ROpts.LadderBuckets = {1, 2, 4};
-  ModelRegistry Reg(*H.Eng, ROpts);
-  ASSERT_TRUE(Reg.addModel("chain", tinyChain(16)));
-
-  EXPECT_EQ(Reg.ladderOf("chain"), nullptr); // cold: no ladder yet
-  std::shared_ptr<const CompiledNet> CN = Reg.acquire("chain");
-  ASSERT_NE(CN, nullptr);
-  std::shared_ptr<CompiledNetLadder> L = Reg.ladderOf("chain");
-  ASSERT_NE(L, nullptr);
-  // The whole ladder compiled synchronously at admission...
-  EXPECT_EQ(L->residentRungs().size(), 3u);
-  EXPECT_EQ(L->bucket(1).get(), CN.get());
-  // ...and the budget sees the sum of every resident rung, not just the
-  // anchor.
-  size_t Sum = 0;
-  for (const CompiledNetLadder::Rung &R : L->residentRungs())
-    Sum += ModelRegistry::artifactBytes(*R.Artifact,
-                                        ROpts.ArenaSlabsPerModel);
-  RegistryStats S = Reg.stats();
-  EXPECT_EQ(S.ResidentBytes, Sum);
-  EXPECT_GT(Sum,
-            ModelRegistry::artifactBytes(*CN, ROpts.ArenaSlabsPerModel));
-
-  // Whole-model eviction drops the ladder with the artifact.
-  EXPECT_TRUE(Reg.evict("chain"));
-  EXPECT_EQ(Reg.ladderOf("chain"), nullptr);
-  EXPECT_EQ(Reg.residentBytes(), 0u);
-}
-
-TEST(FleetLadder, BudgetEvictsColdBucketsBeforeWholeModels) {
-  FleetBatchedHarness H;
-  RegistryOptions ROpts;
-  ROpts.ArenaSlabsPerModel = 1;
-  ROpts.LadderBuckets = {1, 2, 4};
-  size_t ChainL = ladderBytes(H.Lib, H.Prov, tinyChain(16),
-                              ROpts.LadderBuckets,
-                              ROpts.ArenaSlabsPerModel);
-  size_t DagL = ladderBytes(H.Lib, H.Prov, tinyDag(16), ROpts.LadderBuckets,
-                            ROpts.ArenaSlabsPerModel);
-  // One byte short of both full ladders: admitting the second model must
-  // shed a cold bucket somewhere, and a cold BUCKET -- not a whole model
-  // -- is the mandated first victim.
-  ROpts.MemBudgetBytes = ChainL + DagL - 1;
-  ModelRegistry Reg(*H.Eng, ROpts);
-  ASSERT_TRUE(Reg.addModel("chain", tinyChain(16)));
-  ASSERT_TRUE(Reg.addModel("dag", tinyDag(16)));
-
-  ASSERT_NE(Reg.acquire("chain"), nullptr);
-  ASSERT_NE(Reg.acquire("dag"), nullptr);
-
-  // Both models stayed resident; the pressure landed on a bucket.
-  EXPECT_NE(Reg.current("chain"), nullptr);
-  EXPECT_NE(Reg.current("dag"), nullptr);
-  RegistryStats S = Reg.stats();
-  EXPECT_EQ(S.Evictions, 0u);
-  EXPECT_GE(S.BucketEvictions, 1u);
-  EXPECT_LE(Reg.residentBytes(), ROpts.MemBudgetBytes);
-  // The shed bucket came off the LRU ladder (chain's), whose anchor must
-  // survive (bucket eviction never drops bucket 1).
-  std::shared_ptr<CompiledNetLadder> ChainLadder = Reg.ladderOf("chain");
-  ASSERT_NE(ChainLadder, nullptr);
-  EXPECT_LT(ChainLadder->residentRungs().size(), 3u);
-  EXPECT_NE(ChainLadder->bucket(1), nullptr);
-}
-
-TEST(FleetLadder, LadderOverBudgetSelfShedsToFit) {
-  FleetBatchedHarness H;
-  RegistryOptions ROpts;
-  ROpts.ArenaSlabsPerModel = 1;
-  ROpts.LadderBuckets = {1, 2, 4};
-  size_t ChainL = ladderBytes(H.Lib, H.Prov, tinyChain(16),
-                              ROpts.LadderBuckets,
-                              ROpts.ArenaSlabsPerModel);
-  // The full ladder misses the budget by one byte, but the model itself
-  // fits: admission sheds its own coldest buckets instead of failing.
-  ROpts.MemBudgetBytes = ChainL - 1;
-  ModelRegistry Reg(*H.Eng, ROpts);
-  ASSERT_TRUE(Reg.addModel("chain", tinyChain(16)));
-
-  std::shared_ptr<const CompiledNet> CN = Reg.acquire("chain");
-  ASSERT_NE(CN, nullptr);
-  std::shared_ptr<CompiledNetLadder> L = Reg.ladderOf("chain");
-  ASSERT_NE(L, nullptr);
-  EXPECT_LT(L->residentRungs().size(), 3u);
-  EXPECT_NE(L->bucket(1), nullptr);
-  RegistryStats S = Reg.stats();
-  EXPECT_GE(S.BucketEvictions, 1u);
-  EXPECT_EQ(S.Unavailable, 0u);
-  EXPECT_LE(Reg.residentBytes(), ROpts.MemBudgetBytes);
-}
-
-TEST(FleetLadder, LanesServeThroughBucketsBitIdentically) {
-  FleetBatchedHarness H;
-  RegistryOptions ROpts;
-  ROpts.LadderBuckets = {1, 2, 4};
-  ModelRegistry Reg(*H.Eng, ROpts);
-  ASSERT_TRUE(Reg.addModel("chain", tinyChain(16)));
-
-  std::shared_ptr<const CompiledNet> CN = Reg.acquire("chain");
-  ASSERT_NE(CN, nullptr);
-  Tensor3D In = inputFor(CN->graph(), 61);
-  Executor Seq(CN->graph(), CN->plan(), H.Lib);
-  Seq.run(In);
-  Tensor3D Ref = cloneTensor(Seq.networkOutput());
-
-  FleetOptions FOpts;
-  FOpts.Batch.MaxBatch = 4;
-  FOpts.Batch.MaxDelayNs = nsPerMs / 2;
-  FOpts.Batch.MaxQueue = 1024;
-  FOpts.WorkersPerModel = 2;
-  FleetServer Srv(Reg, FOpts);
-
-  const unsigned N = 24;
-  std::vector<std::future<ServeResponse>> Futures;
-  for (unsigned I = 0; I < N; ++I)
-    Futures.push_back(Srv.submit("chain", In).Response);
-  Srv.shutdown();
-
-  for (std::future<ServeResponse> &F : Futures) {
-    ServeResponse R = F.get();
-    ASSERT_TRUE(R.ok()) << serveStatusName(R.Status);
-    EXPECT_EQ(maxAbsDifference(R.Output, Ref), 0.0f);
-  }
-  // The whole ladder is resident from admission, so every batch -- any K
-  // in [1, MaxBatch] -- dispatches through a bucket, never the per-slot
-  // fallback.
-  LaneStats LS = Srv.laneStats("chain");
-  EXPECT_EQ(LS.Exec.RequestsExecuted, N);
-  EXPECT_GT(LS.Exec.BatchedBatches, 0u);
-  EXPECT_EQ(LS.Exec.FallbackBatches, 0u);
 }
 
 } // namespace

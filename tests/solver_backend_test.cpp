@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 
 using namespace primsel;
 using namespace primsel::pbqp;
@@ -131,8 +132,10 @@ public:
     return Inner.transformCost(From, To, Shape);
   }
 
-  uint64_t ConvEvals = 0;
-  uint64_t TransformEvals = 0;
+  // Atomic: prepopulate() evaluates through this provider from several
+  // ThreadPool workers at once.
+  std::atomic<uint64_t> ConvEvals{0};
+  std::atomic<uint64_t> TransformEvals{0};
 
 private:
   CostProvider &Inner;

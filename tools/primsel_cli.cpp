@@ -65,10 +65,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "batch/Minibatch.h"
 #include "cost/AnalyticModel.h"
 #include "cost/Profiler.h"
-#include "engine/BatchContext.h"
 #include "engine/Engine.h"
 #include "gemm/MicroKernel.h"
 #include "nn/Models.h"
@@ -169,19 +167,6 @@ struct CliOptions {
   /// --jit-cc PATH: compiler driver for --jit (default: $PRIMSEL_CC,
   /// then 'cc').
   std::string JitCc;
-  /// --batch-ladder: serve coalesced batches through the batch-bucketed
-  /// plan ladder (engine/Ladder.h) -- one PBQP-solved artifact per bucket
-  /// {1, 2, 4, ..., --max-batch}, real §8 minibatch plans per bucket --
-  /// instead of K independent batch-1 slot runs. Implies --open-loop
-  /// under single-model 'serve'; under 'serve --models' every fleet entry
-  /// gets a ladder charged whole against the memory budget.
-  bool BatchLadder = false;
-  /// --bucket-compile bg|sync: whether missing buckets compile on the
-  /// ladder's background thread while the per-slot path serves (bg, the
-  /// default) or all buckets compile up front before serving starts
-  /// (sync). Fleet ladders are always sync (budget accounting needs the
-  /// whole ladder at once).
-  std::string BucketCompile = "bg";
 };
 
 /// Split "a,b,c" into names (pass lists, fleet model lists).
@@ -285,11 +270,9 @@ int usage(const char *Argv0) {
       "           [--amortize] [--exec-threads N] [--jit] [--jit-cc PATH]\n"
       "           [--open-loop] [--rate R] [--slo-ms D] [--max-batch B]\n"
       "           [--max-delay-us U] [--max-queue Q]\n"
-      "           [--batch-ladder] [--bucket-compile bg|sync]\n"
       "  serve --models a,b,c [--mem-budget M] [--rate R] [--requests N]\n"
       "           [--threads N] [--swaps K] [--slo-ms D] [--max-batch B]\n"
-      "           [--max-delay-us U] [--max-queue Q] [--scale S]\n"
-      "           [--batch-ladder] [...]\n"
+      "           [--max-delay-us U] [--max-queue Q] [--scale S] [...]\n"
       "-O0 runs no graph-transform passes (default); -O1 runs the default\n"
       "pipeline; --passes LIST runs a comma-separated list (see docs/cli.md).\n"
       "--amortize prices selection on per-inference costs (weight\n"
@@ -300,11 +283,6 @@ int usage(const char *Argv0) {
       "serve --open-loop drives Poisson arrivals at --rate R/sec through\n"
       "the dynamic batcher (--max-batch, --max-delay-us, --max-queue,\n"
       "--slo-ms); implies --compiled.\n"
-      "--batch-ladder serves coalesced batches through one PBQP-solved\n"
-      "minibatch plan per batch bucket {1,2,4,...,--max-batch} (implies\n"
-      "--open-loop); --bucket-compile bg compiles missing buckets in the\n"
-      "background while the per-slot path serves, sync compiles all\n"
-      "buckets up front.\n"
       "--jit compiles the selected plan to native code via the system\n"
       "compiler (--jit-cc PATH or $PRIMSEL_CC, default 'cc') and serves\n"
       "it; objects are cached in --plan-cache DIR; on any failure the\n"
@@ -416,17 +394,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     }
     else if (Arg == "--open-loop" && !HasInline)
       Opts.OpenLoop = true;
-    else if (Arg == "--batch-ladder" && !HasInline)
-      Opts.BatchLadder = true;
-    else if (Arg == "--bucket-compile" && Next(Val)) {
-      if (Val != "bg" && Val != "sync") {
-        std::fprintf(stderr,
-                     "error: --bucket-compile expects bg|sync, got '%s'\n",
-                     Val.c_str());
-        return false;
-      }
-      Opts.BucketCompile = Val;
-    }
     else if (Arg == "--rate" && Next(Val)) {
       if (!parseDouble(Val, Opts.RatePerSec) || !(Opts.RatePerSec > 0.0)) {
         std::fprintf(stderr,
@@ -657,19 +624,6 @@ void printJitReport(const CompiledNet &CN) {
               JR.Fingerprint.c_str());
 }
 
-/// FNV-1a over a tensor's raw bytes.
-uint64_t tensorChecksum(const Tensor3D &Out) {
-  const unsigned char *Bytes =
-      reinterpret_cast<const unsigned char *>(Out.data());
-  uint64_t H = 1469598103934665603ull;
-  for (size_t I = 0; I < static_cast<size_t>(Out.size()) * sizeof(float);
-       ++I) {
-    H ^= Bytes[I];
-    H *= 1099511628211ull;
-  }
-  return H;
-}
-
 /// FNV-1a over the network output of one deterministic forward pass.
 /// Printed by compiled serving so CI can diff a --jit transcript against
 /// an interpreted one: identical checksums = bit-identical serving.
@@ -680,52 +634,16 @@ uint64_t outputChecksum(const CompiledNet &CN) {
   Tensor3D Input(Sh.C, Sh.H, Sh.W, Layout::CHW);
   Input.fillRandom(11);
   Ctx->run(Input);
-  return tensorChecksum(Ctx->networkOutput());
-}
-
-/// Per-bucket bit-identity probe: run B copies of the same deterministic
-/// input through each resident rung's batched context and checksum every
-/// image's output. CI diffs every line against the unbatched
-/// '# output checksum' -- equality at every bucket proves the batched §8
-/// plans serve bit-identical per-image outputs.
-void printLadderChecksums(const CompiledNetLadder &Ladder) {
-  for (const CompiledNetLadder::Rung &R : Ladder.residentRungs()) {
-    ExecutionContextOptions CtxOpts;
-    BatchExecutionContext Ctx(R.Artifact, CtxOpts);
-    const TensorShape &Sh = R.Artifact->graph().node(0).OutShape;
-    Tensor3D Input(Sh.C, Sh.H, Sh.W, Layout::CHW);
-    Input.fillRandom(11);
-    std::vector<const Tensor3D *> Inputs(static_cast<size_t>(R.Bucket),
-                                         &Input);
-    Ctx.run(Inputs);
-    uint64_t First = tensorChecksum(Ctx.output(0));
-    bool AllSame = true;
-    for (size_t I = 1; I < Inputs.size(); ++I)
-      AllSame &= tensorChecksum(Ctx.output(I)) == First;
-    std::printf("# bucket %lld output checksum %016llx%s\n",
-                static_cast<long long>(R.Bucket),
-                static_cast<unsigned long long>(First),
-                AllSame ? "" : " (IMAGES DIVERGE)");
+  const Tensor3D &Out = Ctx->networkOutput();
+  const unsigned char *Bytes =
+      reinterpret_cast<const unsigned char *>(Out.data());
+  uint64_t H = 1469598103934665603ull;
+  for (size_t I = 0; I < static_cast<size_t>(Out.size()) * sizeof(float);
+       ++I) {
+    H ^= Bytes[I];
+    H *= 1099511628211ull;
   }
-}
-
-/// Ladder + dispatch report for --batch-ladder serving runs.
-void printLadderStats(const CompiledNetLadder &Ladder, uint64_t Batched,
-                      uint64_t Fallback) {
-  LadderStats LS = Ladder.stats();
-  std::printf("# ladder: %u resident bucket%s (max %lld), %llu hits, %llu "
-              "misses, %llu bg-compiles, %llu sync-compiles, %llu "
-              "failures\n",
-              LS.ResidentBuckets, LS.ResidentBuckets == 1 ? "" : "s",
-              static_cast<long long>(Ladder.maxBucket()),
-              static_cast<unsigned long long>(LS.Hits),
-              static_cast<unsigned long long>(LS.Misses),
-              static_cast<unsigned long long>(LS.BackgroundCompiles),
-              static_cast<unsigned long long>(LS.SyncCompiles),
-              static_cast<unsigned long long>(LS.CompileFailures));
-  std::printf("# dispatch: %llu batched batches, %llu fallback batches\n",
-              static_cast<unsigned long long>(Batched),
-              static_cast<unsigned long long>(Fallback));
+  return H;
 }
 
 /// One-line serving-cost report for amortized-mode runs.
@@ -1080,22 +998,8 @@ int cmdCompile(const CliOptions &Opts) {
 int serveOpenLoop(const CliOptions &Opts, Engine &Eng,
                   const NetworkGraph &Net, const SelectionResult &R) {
   Timer CompileTimer;
-  std::shared_ptr<CompiledNetLadder> Ladder;
-  std::shared_ptr<const CompiledNet> CN;
-  if (Opts.BatchLadder) {
-    // The anchor solve hits the plan cache (cmdServe already ran
-    // optimize); sync mode also pays every bucket solve here, bg mode
-    // defers them to the ladder's compile thread.
-    LadderOptions LO;
-    LO.MaxBatch = static_cast<int64_t>(std::max(1u, Opts.MaxBatch));
-    LO.Background = Opts.BucketCompile != "sync";
-    LO.Compile = compileOptions(Opts);
-    Ladder = Eng.compileLadder(Net, LO);
-    if (Ladder)
-      CN = Ladder->bucket(1);
-  } else {
-    CN = Eng.compile(Net, R, compileOptions(Opts));
-  }
+  std::shared_ptr<const CompiledNet> CN =
+      Eng.compile(Net, R, compileOptions(Opts));
   double CompileMillis = CompileTimer.millis();
   if (!CN) {
     std::fprintf(stderr, "error: compilation failed\n");
@@ -1107,14 +1011,6 @@ int serveOpenLoop(const CliOptions &Opts, Engine &Eng,
               static_cast<double>(CN->preparedBytes()) / (1024.0 * 1024.0));
   if (Opts.Jit)
     printJitReport(*CN);
-  if (Ladder) {
-    std::printf("# ladder: buckets up to %lld, bucket-compile %s\n",
-                static_cast<long long>(Ladder->maxBucket()),
-                Opts.BucketCompile.c_str());
-    // CI diffs this and the per-bucket lines printed after the run.
-    std::printf("# output checksum %016llx\n",
-                static_cast<unsigned long long>(outputChecksum(*CN)));
-  }
 
   serve::ServerOptions SOpts;
   SOpts.Batch.MaxBatch = Opts.MaxBatch;
@@ -1123,7 +1019,6 @@ int serveOpenLoop(const CliOptions &Opts, Engine &Eng,
   SOpts.Batch.MaxQueue = Opts.MaxQueue;
   SOpts.Workers = std::max(1u, Opts.Threads);
   SOpts.UseArena = !Opts.NoArena;
-  SOpts.Ladder = Ladder;
 
   const TensorShape &Sh = CN->graph().node(0).OutShape;
   std::vector<Tensor3D> Inputs;
@@ -1170,13 +1065,6 @@ int serveOpenLoop(const CliOptions &Opts, Engine &Eng,
                 static_cast<unsigned long long>(BS.RejectedDeadline),
                 static_cast<unsigned long long>(BS.ExpiredInQueue),
                 static_cast<unsigned long long>(SS.DeadlineMisses));
-    if (Ladder) {
-      // Drain in-flight background compiles so the bit-identity probe
-      // sees every bucket this run produced.
-      Ladder->waitForCompiles();
-      printLadderStats(*Ladder, SS.BatchedBatches, SS.FallbackBatches);
-      printLadderChecksums(*Ladder);
-    }
   }
   std::printf("# offered %.1f req/sec, sustained %.1f req/sec, %u/%u "
               "completed (%u rejected)\n",
@@ -1264,8 +1152,7 @@ int serveCompiled(const CliOptions &Opts, Engine &Eng,
 int cmdServeFleet(const CliOptions &Opts) {
   if (!checkSolver(Opts))
     return 1;
-  PrimitiveLibrary Lib =
-      Opts.BatchLadder ? buildBatchedLibrary() : buildFullLibrary();
+  PrimitiveLibrary Lib = buildFullLibrary();
   std::unique_ptr<CostProvider> Owned = makeCosts(Opts, Lib, nullptr, 1);
   EngineOptions EOpts = engineOptions(Opts);
   EOpts.CachePlans = true; // the fleet warms once: every readmission and
@@ -1279,14 +1166,6 @@ int cmdServeFleet(const CliOptions &Opts) {
   // --jit fleets serve native objects; artifactBytes then charges the
   // mapped .so against the memory budget alongside the packed weights.
   ROpts.Compile = compileOptions(Opts);
-  if (Opts.BatchLadder) {
-    // Whole ladders compile synchronously at first acquire and the sum of
-    // resident rungs is charged to the budget; cold buckets are evicted
-    // fleet-wide before any whole model.
-    for (int64_t B = 1; B <= static_cast<int64_t>(std::max(1u, Opts.MaxBatch));
-         B *= 2)
-      ROpts.LadderBuckets.push_back(B);
-  }
   serve::ModelRegistry Reg(Eng, ROpts);
   for (const std::string &Name : Opts.Models) {
     std::optional<NetworkGraph> Net = resolveNetwork(Name, Opts.Scale);
@@ -1403,12 +1282,6 @@ int cmdServeFleet(const CliOptions &Opts) {
                             static_cast<double>(BS.Batches)
                       : 0.0,
                   static_cast<unsigned long long>(LS.UnavailableRequests));
-      if (Opts.BatchLadder)
-        std::printf("# model %s dispatch: %llu batched batches, %llu "
-                    "fallback batches\n",
-                    Opts.Models[M].c_str(),
-                    static_cast<unsigned long long>(LS.Exec.BatchedBatches),
-                    static_cast<unsigned long long>(LS.Exec.FallbackBatches));
     }
   }
   double WallMillis = Wall.millis();
@@ -1422,9 +1295,6 @@ int cmdServeFleet(const CliOptions &Opts) {
               static_cast<unsigned long long>(RS.Evictions),
               static_cast<unsigned long long>(RS.Swaps),
               static_cast<unsigned long long>(RS.Unavailable));
-  if (Opts.BatchLadder)
-    std::printf("# registry bucket evictions: %llu\n",
-                static_cast<unsigned long long>(RS.BucketEvictions));
   std::printf("# fleet-resident-mib %zu (peak %.2f MiB resident, budget "
               "%s)\n",
               (RS.PeakResidentBytes + (1024 * 1024 - 1)) / (1024 * 1024),
@@ -1477,11 +1347,7 @@ int cmdServe(const CliOptions &Opts) {
     return 1;
   if (!checkSolver(Opts))
     return 1;
-  // --batch-ladder needs the §8 minibatch wrappers in the library so each
-  // bucket's solve can choose @bser/@bpar per layer. Batch-1 scenarios
-  // never match a wrapper, so the anchor plan is unchanged.
-  PrimitiveLibrary Lib =
-      Opts.BatchLadder ? buildBatchedLibrary() : buildFullLibrary();
+  PrimitiveLibrary Lib = buildFullLibrary();
   std::unique_ptr<CostProvider> Owned = makeCosts(Opts, Lib, nullptr, 1);
   EngineOptions EOpts = engineOptions(Opts);
   EOpts.CachePlans = true; // always memoize within the serving process
@@ -1506,9 +1372,7 @@ int cmdServe(const CliOptions &Opts) {
   printServingCost(R);
   printPlanCacheStats(Eng);
 
-  // --batch-ladder only makes sense behind the batcher (coalesced
-  // batches are what the ladder serves), so it implies open-loop serving.
-  if (Opts.OpenLoop || Opts.BatchLadder)
+  if (Opts.OpenLoop)
     return serveOpenLoop(Opts, Eng, *Net, R);
   // --jit implies compiled serving: the native object is a CompiledNet
   // artifact, so there is no jit variant of the plain Executor path.
