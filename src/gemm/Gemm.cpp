@@ -12,7 +12,8 @@
 // Bit-identity contract: element C[i][j] accumulates its K products in
 // ascending-k order -- fixed KC blocking, register accumulation within a
 // block, one add into C per block -- independent of tile position, edge
-// handling, worker count, or partition dimension. sgemm therefore returns
+// handling, worker count, partition dimension, or orientation (skinny
+// products run transposed, see packedGemm). sgemm therefore returns
 // bitwise-identical results for any Pool/MaxThreads. The Naive variant keeps
 // the textbook loops (it is priced as the slow baseline primitive).
 //
@@ -128,22 +129,35 @@ void packBtTile(const float *Bt, int64_t K, int64_t N, int64_t J0, int NR,
 /// Run the micro-kernel on one tile, routing edge tiles through a stack
 /// temp so the kernel always sees a full MR x NR footprint. The copy-out
 /// performs the same single add (or assign) into C that an interior tile's
-/// kernel store does, so edge handling never changes bits.
+/// kernel store does, so edge handling never changes bits. With
+/// \p Transposed the tile is a block of C^T (rows I0.. index C's columns),
+/// so every tile goes through the temp and is stored transposed.
 void runTile(const MicroKernel &MK, int64_t Kc, const float *APanel,
              const float *BPanel, float *C, int64_t LdC, int64_t M, int64_t N,
-             int64_t I0, int64_t J0, bool AccumBlock) {
+             int64_t I0, int64_t J0, bool AccumBlock, bool Transposed) {
   const int MR = MK.MR, NR = MK.NR;
-  float *CTile = C + I0 * LdC + J0;
-  if (I0 + MR <= M && J0 + NR <= N) {
-    MK.Fn(Kc, APanel, BPanel, CTile, LdC, AccumBlock);
+  if (!Transposed && I0 + MR <= M && J0 + NR <= N) {
+    MK.Fn(Kc, APanel, BPanel, C + I0 * LdC + J0, LdC, AccumBlock);
     return;
   }
   float Tmp[8 * 32]; // covers the largest tier geometry
   MK.Fn(Kc, APanel, BPanel, Tmp, NR, /*Accumulate=*/false);
   int Mr = static_cast<int>(std::min<int64_t>(MR, M - I0));
   int Nr = static_cast<int>(std::min<int64_t>(NR, N - J0));
+  if (Transposed) {
+    for (int J = 0; J < Nr; ++J) {
+      float *Row = C + (J0 + J) * LdC + I0;
+      if (AccumBlock)
+        for (int I = 0; I < Mr; ++I)
+          Row[I] += Tmp[I * NR + J];
+      else
+        for (int I = 0; I < Mr; ++I)
+          Row[I] = Tmp[I * NR + J];
+    }
+    return;
+  }
   for (int I = 0; I < Mr; ++I) {
-    float *Row = CTile + I * LdC;
+    float *Row = C + (I0 + I) * LdC + J0;
     const float *Src = Tmp + I * NR;
     if (AccumBlock)
       for (int J = 0; J < Nr; ++J)
@@ -159,8 +173,14 @@ void packedGemm(bool BTransposed, int64_t M, int64_t N, int64_t K,
                 bool Accumulate, ThreadPool *Pool, int MaxThreads) {
   const MicroKernel &MK = activeMicroKernel();
   const int MR = MK.MR, NR = MK.NR;
-  const int64_t MTiles = (M + MR - 1) / MR;
-  const int64_t NTiles = (N + NR - 1) / NR;
+  // A skinny product (fewer columns than one NR tile, more rows) runs as
+  // C^T = B^T A^T, so its long side fills the NR lanes. Each element still
+  // sums the same products in ascending-k order (x * y == y * x, also
+  // under FMA), so the orientation never changes bits.
+  const bool Transposed = N < NR && M > N;
+  const int64_t TM = Transposed ? N : M, TN = Transposed ? M : N;
+  const int64_t MTiles = (TM + MR - 1) / MR;
+  const int64_t NTiles = (TN + NR - 1) / NR;
   // Partition the dimension with more register tiles; conv GEMMs typically
   // have a short M (output channels) and a long N (output pixels). The
   // choice only redistributes work -- it never changes any element's math.
@@ -187,14 +207,25 @@ void packedGemm(bool BTransposed, int64_t M, int64_t N, int64_t K,
     const int64_t Kc = std::min(KC, K - Pc);
     const bool AccumBlock = Accumulate || Pc > 0;
 
+    // MR panels of the row operand: A, or B^T when transposed.
     auto PackARange = [&](int64_t TB, int64_t TE) {
-      for (int64_t It = TB; It < TE; ++It)
-        packATile(A, M, K, It * MR, MR, Pc, Kc, APack + It * KcMax * MR);
+      for (int64_t It = TB; It < TE; ++It) {
+        float *Panel = APack + It * KcMax * MR;
+        if (!Transposed)
+          packATile(A, M, K, It * MR, MR, Pc, Kc, Panel);
+        else if (BTransposed)
+          packATile(B, N, K, It * MR, MR, Pc, Kc, Panel);
+        else
+          packBTile(B, N, It * MR, MR, Pc, Kc, Panel);
+      }
     };
+    // NR panels of the column operand: B, or A^T when transposed.
     auto PackBRange = [&](int64_t TB, int64_t TE) {
       for (int64_t Jt = TB; Jt < TE; ++Jt) {
         float *Panel = BPack + Jt * KcMax * NR;
-        if (BTransposed)
+        if (Transposed)
+          packBtTile(A, K, M, Jt * NR, NR, Pc, Kc, Panel);
+        else if (BTransposed)
           packBtTile(B, K, N, Jt * NR, NR, Pc, Kc, Panel);
         else
           packBTile(B, N, Jt * NR, NR, Pc, Kc, Panel);
@@ -210,7 +241,7 @@ void packedGemm(bool BTransposed, int64_t M, int64_t N, int64_t K,
         for (int64_t Jt = JB; Jt < JE; ++Jt)
           for (int64_t It = It0; It < It1; ++It)
             runTile(MK, Kc, APack + It * KcMax * MR, BPack + Jt * KcMax * NR,
-                    C, LdC, M, N, It * MR, Jt * NR, AccumBlock);
+                    C, LdC, TM, TN, It * MR, Jt * NR, AccumBlock, Transposed);
       }
     };
 

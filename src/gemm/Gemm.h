@@ -39,8 +39,12 @@ const char *gemmVariantName(GemmVariant V);
 /// writing into a sub-view); A and B are contiguous. For
 /// GemmVariant::TransposedB, \p B must hold B^T, i.e. an N x K row-major
 /// matrix. Blocked and TransposedB run through the packed macro-kernel
-/// (gemm/MicroKernel.h); Naive keeps the textbook loops. If \p Pool is
-/// non-null the register-tile grid is partitioned across it, using at most
+/// (gemm/MicroKernel.h); Naive keeps the textbook loops. A skinny product
+/// (N below the micro-kernel's NR and M > N) runs transposed, as
+/// C^T = B^T * A^T, so the long M side fills the register tile's NR lanes;
+/// each element still sums its k products in ascending order, so the
+/// orientation never changes a bit. If \p Pool is non-null the
+/// register-tile grid is partitioned across it, using at most
 /// \p MaxThreads workers when MaxThreads > 0 (0 = whole pool). Results are
 /// bitwise identical for every Pool/MaxThreads combination.
 void sgemm(GemmVariant Variant, int64_t M, int64_t N, int64_t K,

@@ -7,23 +7,28 @@
 // (Y = A^T [(G g G^T) .* (B^T d B)] A) and batch the pointwise stage into
 // one M x C x Tiles product per frequency -- fast but memory hungry. The
 // one-dimensional variants apply F(m, r) along rows, once per kernel row:
-// more floating point operations but a working set of only a couple of rows,
+// more floating point operations but a working set of one band of output
+// rows (just enough pixels to fill a register tile) and its input rows,
 // which is why the paper's optimizer prefers them on the small-cache ARM
 // target (Figure 4). The vector-factor (vf4/vf8) variants change the tile
-// blocking of the pointwise stage, mirroring the paper's 4-way NEON vs
-// 8-way AVX2 Winograd codes.
+// blocking of the 2-D pointwise stage, mirroring the paper's 4-way NEON vs
+// 8-way AVX2 Winograd codes; the 1-D pointwise stage runs on the packed
+// GEMM macro-kernel for both.
 //
 //===----------------------------------------------------------------------===//
 
 #include "primitives/Registry.h"
 
+#include "gemm/Gemm.h"
 #include "support/AlignedBuffer.h"
 #include "support/ThreadPool.h"
 #include "tensor/Transform.h"
 #include "winograd/ToomCook.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <functional>
 #include <vector>
 
 using namespace primsel;
@@ -42,6 +47,16 @@ struct WinoConfig {
 
 /// ceil(A / B) for positive operands.
 int64_t ceilDiv(int64_t A, int64_t B) { return (A + B - 1) / B; }
+
+/// Output pixels a 1-D band aims for: the widest micro-kernel tile's NR
+/// (AVX-512's 8 x 32), so one band's pointwise product spans a full tile.
+constexpr int64_t BandPixels = 32;
+
+/// Output rows per 1-D band, a function of shape only (workspaceBytes
+/// reports the band footprint from it).
+int64_t bandRows(int64_t Ho, int64_t Tw) {
+  return std::min(Ho, ceilDiv(BandPixels, Tw));
+}
 
 /// Accumulate Mo[M][T] += U[M][C] x V[C][T] with a TB-wide tile block in
 /// the inner loop (the "vector factor").
@@ -72,12 +87,21 @@ void runFreqGemm(int TileBlock, const float *U, const float *V, float *Mo,
     freqGemmAccum<4>(U, V, Mo, M, C, T);
 }
 
-/// Copy \p In into a zero-margin CHW buffer of Hp x Wp with the image at
-/// offset (Pad, Pad). Reads go through logical strides, so an HWC input
-/// pays its gather cost here.
-/// Copy \p In into \p P, a zero-margined Hp x Wp CHW tensor; P is only
-/// (re)allocated when its shape changed, so the instance-held scratch is
-/// reused run after run.
+/// Run Body(0) .. Body(Count - 1) on the context's pool under its worker
+/// cap, or in order on the calling thread when there is no pool.
+void forEachIndex(const RunContext &Ctx, int64_t Count,
+                  const std::function<void(int64_t)> &Body) {
+  if (Ctx.Pool && Ctx.Pool->numThreads() > 1)
+    Ctx.Pool->parallelFor(0, Count, Body, Ctx.MaxThreads);
+  else
+    for (int64_t I = 0; I < Count; ++I)
+      Body(I);
+}
+
+/// Copy \p In into \p P, a zero-margined Hp x Wp CHW tensor with the image
+/// at offset (Pad, Pad). Reads go through logical strides, so an HWC input
+/// pays its gather cost here. P is only (re)allocated when its shape
+/// changed, so the instance-held scratch is reused run after run.
 void makeWinogradInputInto(const Tensor3D &In, int64_t Pad, int64_t Hp,
                            int64_t Wp, Tensor3D &P) {
   if (P.channels() != In.channels() || P.height() != Hp || P.width() != Wp ||
@@ -180,7 +204,6 @@ void Wino2DInstance::run(const Tensor3D &In, Tensor3D &Out,
   const int64_t Th = ceilDiv(Ho, M2), Tw = ceilDiv(Wo, M2);
   const int64_t NumTiles = Th * Tw;
   const int64_t Hp = Th * M2 + Cfg.R - 1, Wp = Tw * M2 + Cfg.R - 1;
-  ThreadPool *Pool = Ctx.Pool;
 
   makeWinogradInputInto(In, S.Pad, Hp, Wp, PaddedScratch);
   const float *PD = PaddedScratch.data();
@@ -221,11 +244,7 @@ void Wino2DInstance::run(const Tensor3D &In, Tensor3D &Out,
           }
       }
   };
-  if (Pool && Pool->numThreads() > 1)
-    Pool->parallelFor(0, S.C, TransformChannel, Ctx.MaxThreads);
-  else
-    for (int64_t Ch = 0; Ch < S.C; ++Ch)
-      TransformChannel(Ch);
+  forEachIndex(Ctx, S.C, TransformChannel);
 
   // Pointwise stage, batched per frequency.
   auto FreqStage = [&](int64_t Freq) {
@@ -233,11 +252,7 @@ void Wino2DInstance::run(const Tensor3D &In, Tensor3D &Out,
                 V.data() + Freq * S.C * NumTiles,
                 Mo.data() + Freq * S.M * NumTiles, S.M, S.C, NumTiles);
   };
-  if (Pool && Pool->numThreads() > 1)
-    Pool->parallelFor(0, N * N, FreqStage, Ctx.MaxThreads);
-  else
-    for (int64_t Freq = 0; Freq < N * N; ++Freq)
-      FreqStage(Freq);
+  forEachIndex(Ctx, N * N, FreqStage);
 
   // Output transform into the native CHW layout, clipped at the edges.
   Layout Native = Layout::CHW;
@@ -283,11 +298,7 @@ void Wino2DInstance::run(const Tensor3D &In, Tensor3D &Out,
       }
     }
   };
-  if (Pool && Pool->numThreads() > 1)
-    Pool->parallelFor(0, S.M, InverseFilter, Ctx.MaxThreads);
-  else
-    for (int64_t F = 0; F < S.M; ++F)
-      InverseFilter(F);
+  forEachIndex(Ctx, S.M, InverseFilter);
 
   if (Target != &Out)
     runTransform(*Target, Out);
@@ -302,83 +313,39 @@ public:
   void run(const Tensor3D &In, Tensor3D &Out, const RunContext &Ctx) override;
 
 private:
-  void runRowRange(const float *PD, int64_t Hp, int64_t Wp, float *OD,
-                   int64_t RowBegin, int64_t RowEnd) const;
-
   WinoConfig Cfg;
   ConvScenario S;
   std::shared_ptr<const WinoPrepared> PK;
   Tensor3D PaddedScratch; ///< reused tile-margined input copy
+  AlignedBuffer V;        ///< one band's transformed input rows
+  AlignedBuffer Mo;       ///< one band's pointwise products
   Tensor3D NativeScratch; ///< reused output staging when layouts differ
 };
 
-void Wino1DInstance::runRowRange(const float *PD, int64_t Hp, int64_t Wp,
-                                 float *OD, int64_t RowBegin,
-                                 int64_t RowEnd) const {
+void Wino1DInstance::run(const Tensor3D &In, Tensor3D &Out,
+                         const RunContext &Ctx) {
   const WinogradTransform &T = PK->T;
   const AlignedBuffer &U = PK->U;
   const int64_t N = T.N, M1 = Cfg.M, R = Cfg.R;
   const int64_t Ho = S.outHeight(), Wo = S.outWidth();
   const int64_t Tw = ceilDiv(Wo, M1);
-  (void)Hp;
-
-  // Per-chunk scratch: one row's worth of transformed input and products.
-  std::vector<float> V(static_cast<size_t>(N * S.C * Tw));
-  std::vector<float> Mrow(static_cast<size_t>(N * S.M * Tw));
-
-  for (int64_t Row = RowBegin; Row < RowEnd; ++Row) {
-    std::fill(Mrow.begin(), Mrow.end(), 0.0f);
-    for (int64_t Kr = 0; Kr < R; ++Kr) {
-      // Transform the needed padded input row for every channel.
-      int64_t InRow = Row + Kr;
-      for (int64_t Ch = 0; Ch < S.C; ++Ch) {
-        const float *IRow = PD + (Ch * Hp + InRow) * Wp;
-        for (int64_t Tile = 0; Tile < Tw; ++Tile) {
-          const float *D = IRow + Tile * M1;
-          for (int64_t I = 0; I < N; ++I) {
-            float Acc = 0.0f;
-            for (int64_t A = 0; A < N; ++A)
-              Acc += T.BT[I * N + A] * D[A];
-            V[(I * S.C + Ch) * Tw + Tile] = Acc;
-          }
-        }
-      }
-      // Pointwise stage for this kernel row.
-      for (int64_t Freq = 0; Freq < N; ++Freq)
-        runFreqGemm(Cfg.TileBlock,
-                    U.data() + ((Kr * N + Freq) * S.M) * S.C,
-                    V.data() + Freq * S.C * Tw,
-                    Mrow.data() + Freq * S.M * Tw, S.M, S.C, Tw);
-    }
-    // Inverse transform: y = A^T mvec per (filter, tile).
-    for (int64_t F = 0; F < S.M; ++F) {
-      float *ORow = OD + (F * Ho + Row) * Wo;
-      for (int64_t Tile = 0; Tile < Tw; ++Tile) {
-        for (int64_t I = 0; I < M1; ++I) {
-          int64_t Col = Tile * M1 + I;
-          if (Col >= Wo)
-            break;
-          float Acc = 0.0f;
-          for (int64_t A = 0; A < N; ++A)
-            Acc += T.AT[I * N + A] * Mrow[(A * S.M + F) * Tw + Tile];
-          ORow[Col] = Acc;
-        }
-      }
-    }
-  }
-}
-
-void Wino1DInstance::run(const Tensor3D &In, Tensor3D &Out,
-                         const RunContext &Ctx) {
-  const int64_t M1 = Cfg.M;
-  const int64_t Ho = S.outHeight(), Wo = S.outWidth();
-  const int64_t Tw = ceilDiv(Wo, M1);
-  // Rows are streamed, so only the width needs tile margin.
+  const int64_t Hb = bandRows(Ho, Tw);
+  const int64_t InRows = Hb + R - 1;
+  // Rows are streamed band by band, so only the width needs tile margin.
   const int64_t Hp = S.H + 2 * S.Pad;
-  const int64_t Wp = Tw * M1 + Cfg.R - 1;
-  ThreadPool *Pool = Ctx.Pool;
+  const int64_t Wp = Tw * M1 + R - 1;
 
   makeWinogradInputInto(In, S.Pad, Hp, Wp, PaddedScratch);
+  const float *PD = PaddedScratch.data();
+
+  // V[freq][row][tile][c] over the band's input rows: for each kernel row
+  // kr, the rows kr .. kr + Hb - 1 form one contiguous (pixels x C) B^T.
+  // Mo[freq][f][pixel] holds the products, pixel = row * Tw + tile.
+  const int64_t VFreq = InRows * Tw * S.C, MoFreq = S.M * Hb * Tw;
+  if (V.size() < static_cast<size_t>(N * VFreq))
+    V.reset(static_cast<size_t>(N * VFreq));
+  if (Mo.size() < static_cast<size_t>(N * MoFreq))
+    Mo.reset(static_cast<size_t>(N * MoFreq));
 
   Layout Native = Layout::CHW;
   Tensor3D *Target = &Out;
@@ -389,21 +356,55 @@ void Wino1DInstance::run(const Tensor3D &In, Tensor3D &Out,
   }
   float *OD = Target->data();
 
-  if (Pool && Pool->numThreads() > 1) {
-    int64_t MaxW = Ctx.MaxThreads > 0
-                       ? Ctx.MaxThreads
-                       : static_cast<int64_t>(Pool->numThreads());
-    int64_t NumChunks = std::min<int64_t>(
-        std::min<int64_t>(Pool->numThreads(), MaxW), Ho);
-    int64_t ChunkSize = ceilDiv(Ho, NumChunks);
-    Pool->parallelFor(0, NumChunks, [&](int64_t Chunk) {
-      int64_t Begin = Chunk * ChunkSize;
-      int64_t End = std::min(Ho, Begin + ChunkSize);
-      if (Begin < End)
-        runRowRange(PaddedScratch.data(), Hp, Wp, OD, Begin, End);
+  for (int64_t Row0 = 0; Row0 < Ho; Row0 += Hb) {
+    const int64_t Rows = std::min(Hb, Ho - Row0);
+    const int64_t Pixels = Rows * Tw;
+
+    // Input transform, each padded input row once: v = B^T d per tile.
+    forEachIndex(Ctx, Rows + R - 1, [&](int64_t Row) {
+      const float *IRow = PD + (Row0 + Row) * Wp;
+      for (int64_t Tile = 0; Tile < Tw; ++Tile)
+        for (int64_t Ch = 0; Ch < S.C; ++Ch) {
+          const float *D = IRow + Ch * Hp * Wp + Tile * M1;
+          float *VOut = V.data() + (Row * Tw + Tile) * S.C + Ch;
+          for (int64_t I = 0; I < N; ++I) {
+            float Acc = 0.0f;
+            for (int64_t A = 0; A < N; ++A)
+              Acc += T.BT[I * N + A] * D[A];
+            VOut[I * VFreq] = Acc;
+          }
+        }
     });
-  } else {
-    runRowRange(PaddedScratch.data(), Hp, Wp, OD, 0, Ho);
+
+    // Pointwise stage: per frequency, Mo = sum_kr U[kr] x V(rows + kr)^T on
+    // the packed macro-kernel, serial inside the worker.
+    forEachIndex(Ctx, N, [&](int64_t Freq) {
+      const float *VF = V.data() + Freq * VFreq;
+      float *MF = Mo.data() + Freq * MoFreq;
+      for (int64_t Kr = 0; Kr < R; ++Kr)
+        sgemm(GemmVariant::TransposedB, S.M, Pixels, S.C,
+              U.data() + (Kr * N + Freq) * S.M * S.C, VF + Kr * Tw * S.C, MF,
+              Pixels, /*Accumulate=*/Kr > 0);
+    });
+
+    // Inverse transform: y = A^T mvec per (filter, row, tile).
+    forEachIndex(Ctx, S.M, [&](int64_t F) {
+      for (int64_t Row = 0; Row < Rows; ++Row) {
+        float *ORow = OD + (F * Ho + Row0 + Row) * Wo;
+        for (int64_t Tile = 0; Tile < Tw; ++Tile) {
+          const float *MVec = Mo.data() + F * Pixels + Row * Tw + Tile;
+          for (int64_t I = 0; I < M1; ++I) {
+            int64_t Col = Tile * M1 + I;
+            if (Col >= Wo)
+              break;
+            float Acc = 0.0f;
+            for (int64_t A = 0; A < N; ++A)
+              Acc += T.AT[I * N + A] * MVec[A * MoFreq];
+            ORow[Col] = Acc;
+          }
+        }
+      }
+    });
   }
 
   if (Target != &Out)
@@ -432,8 +433,11 @@ public:
       return static_cast<size_t>(N) * N * (S.C + S.M) * Tiles *
              sizeof(float);
     }
+    // One band: its transformed input rows and its products.
     int64_t Tw = ceilDiv(Wo, Cfg.M);
-    return static_cast<size_t>(N) * (S.C + S.M) * Tw * sizeof(float);
+    int64_t Hb = bandRows(Ho, Tw);
+    return static_cast<size_t>(N) * Tw * (S.C * (Hb + Cfg.R - 1) + S.M * Hb) *
+           sizeof(float);
   }
 
   std::shared_ptr<const PreparedKernel>

@@ -26,6 +26,7 @@
 #include "nn/Models.h"
 #include "runtime/Executor.h"
 #include "serve/Server.h"
+#include "support/ThreadPool.h"
 #include "transforms/Pass.h"
 
 #include <gtest/gtest.h>
@@ -85,6 +86,82 @@ TEST_P(PrimitiveDiff, DepthwiseScenariosDrawOnlyDepthwisePrimitives) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PrimitiveDiff,
                          ::testing::Range<uint64_t>(1, 7));
+
+//===----------------------------------------------------------------------===//
+// 1b. Banded 1-D Winograd: the row bands and their packed pointwise GEMMs.
+//===----------------------------------------------------------------------===//
+
+/// Shapes that stress the 1-D band loop for every m/r: several bands with a
+/// ragged last one (and Wo not a multiple of m), a single tile per row
+/// (Tw = 1) with full 32-pixel bands, and C = 300, deeper than one KC slab.
+std::vector<ConvScenario> wino1dBandScenarios(int64_t R) {
+  const int64_t Pad = R / 2;
+  return {
+      ConvScenario{5, 37, 7, 1, R, 9, Pad},
+      ConvScenario{4, 40, 9, 1, R, 6, 0},
+      ConvScenario{3, 70, 2, 1, R, 4, Pad},
+      ConvScenario{300, 9, 10, 1, R, 40, Pad},
+  };
+}
+
+std::vector<PrimitiveId> wino1dPrimitives() {
+  std::vector<PrimitiveId> Ids;
+  for (PrimitiveId Id = 0; Id < library().size(); ++Id)
+    if (library().get(Id).name().rfind("wino1d-", 0) == 0)
+      Ids.push_back(Id);
+  return Ids;
+}
+
+TEST(Wino1DBands, EveryVariantMatchesOracleAcrossBandShapes) {
+  std::vector<PrimitiveId> Ids = wino1dPrimitives();
+  // m2r3, m4r3, m2r5, m3r5 in chw-chw (x2 vector factors), hwc-chw and
+  // chw-hwc.
+  ASSERT_EQ(Ids.size(), 16u);
+  size_t Covered = 0;
+  for (PrimitiveId Id : Ids) {
+    const ConvPrimitive &P = library().get(Id);
+    for (int64_t R : {int64_t(3), int64_t(5)})
+      for (const ConvScenario &S : wino1dBandScenarios(R))
+        if (P.supports(S)) {
+          expectPrimitiveMatchesReference(P, S, 4242 + Id);
+          ++Covered;
+        }
+  }
+  // Every variant runs every shape at its own filter size.
+  EXPECT_EQ(Covered, 4 * Ids.size());
+}
+
+// Band transforms split over rows, frequencies and filters, with each
+// product serial inside its worker: the output bits cannot depend on the
+// pool width or the worker cap.
+TEST(Wino1DBands, BitIdenticalAcrossPoolWidthsAndCaps) {
+  ThreadPool Pool1(1), Pool2(2), Pool4(4);
+  for (PrimitiveId Id : wino1dPrimitives()) {
+    const ConvPrimitive &P = library().get(Id);
+    for (int64_t R : {int64_t(3), int64_t(5)})
+      for (const ConvScenario &S : wino1dBandScenarios(R)) {
+        if (!P.supports(S))
+          continue;
+        Tensor3D InCHW(S.C, S.H, S.W, Layout::CHW);
+        InCHW.fillRandom(17 + Id);
+        Tensor3D In = convertToLayout(InCHW, P.inputLayout());
+        Kernel4D W(S.M, S.C, S.K);
+        W.fillRandom(18 + Id);
+        std::unique_ptr<ConvInstance> Inst = P.instantiate(S, W);
+
+        Tensor3D Serial(S.M, S.outHeight(), S.outWidth(), P.outputLayout());
+        Inst->run(In, Serial, RunContext{nullptr});
+        for (ThreadPool *Pool : {&Pool1, &Pool2, &Pool4})
+          for (int MaxThreads : {0, 1, 2, 3}) {
+            Tensor3D Out(S.M, S.outHeight(), S.outWidth(), P.outputLayout());
+            Inst->run(In, Out, RunContext{Pool, MaxThreads});
+            EXPECT_EQ(maxAbsDifference(Serial, Out), 0.0f)
+                << P.name() << " on " << S.key() << " pool "
+                << Pool->numThreads() << " cap " << MaxThreads;
+          }
+      }
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // 2. Whole-model differential grid: resnet18 / mobilenet, per backend, all

@@ -181,6 +181,73 @@ TEST_P(MicroKernelAllTiers, BitIdenticalAcrossWorkerCounts) {
   }
 }
 
+// Skinny products (N < NR, M > N) run transposed inside sgemm, as
+// C^T = B^T * A^T. The swapped problem sgemm(B^T, A^T) has N' = M >= NR, so
+// it runs in the regular orientation; its transpose must match the skinny
+// result bit for bit, for both packed variants, serial and partitioned,
+// assigning and accumulating into a C whose row stride exceeds N.
+TEST_P(MicroKernelAllTiers, SkinnyProductsMatchRegularOrientationBitwise) {
+  TierOverrideGuard Guard;
+  setSimdTierOverride(GetParam());
+  const MicroKernel &MK = activeMicroKernel();
+  const int64_t MR = MK.MR, NR = MK.NR;
+  const int64_t M = 2 * NR + 3;
+  ThreadPool Pool(4);
+
+  for (int64_t N : {int64_t(1), int64_t(3), MR - 1, NR - 1})
+    for (int64_t K : {int64_t(17), int64_t(300)}) {
+      const uint64_t Seed = static_cast<uint64_t>(N * 1000 + K);
+      std::vector<float> A = randomVec(static_cast<size_t>(M * K), Seed);
+      std::vector<float> B = randomVec(static_cast<size_t>(K * N), Seed + 1);
+      std::vector<float> At(static_cast<size_t>(K * M));
+      for (int64_t I = 0; I < M; ++I)
+        for (int64_t P = 0; P < K; ++P)
+          At[static_cast<size_t>(P * M + I)] = A[static_cast<size_t>(I * K + P)];
+      std::vector<float> Bt(static_cast<size_t>(N * K));
+      for (int64_t P = 0; P < K; ++P)
+        for (int64_t J = 0; J < N; ++J)
+          Bt[static_cast<size_t>(J * K + P)] = B[static_cast<size_t>(P * N + J)];
+
+      const int64_t LdC = N + 5;
+      std::vector<float> CInit =
+          randomVec(static_cast<size_t>(M * LdC), Seed + 2);
+      std::vector<float> CInitT(static_cast<size_t>(N * M));
+      for (int64_t I = 0; I < M; ++I)
+        for (int64_t J = 0; J < N; ++J)
+          CInitT[static_cast<size_t>(J * M + I)] =
+              CInit[static_cast<size_t>(I * LdC + J)];
+
+      for (bool Accumulate : {false, true}) {
+        std::vector<float> Want = CInitT;
+        sgemm(GemmVariant::Blocked, N, M, K, Bt.data(), At.data(),
+              Want.data(), M, Accumulate);
+
+        // Serial (no pool), then partitioned under every worker cap.
+        for (GemmVariant V : {GemmVariant::Blocked, GemmVariant::TransposedB})
+          for (int Run = 0; Run < 6; ++Run) {
+            ThreadPool *P = Run == 0 ? nullptr : &Pool;
+            const int MaxThreads = Run == 0 ? 0 : Run - 1;
+            std::vector<float> C = CInit;
+            sgemm(V, M, N, K, A.data(),
+                  V == GemmVariant::Blocked ? B.data() : Bt.data(), C.data(),
+                  LdC, Accumulate, P, MaxThreads);
+            for (int64_t I = 0; I < M; ++I)
+              for (int64_t J = 0; J < LdC; ++J) {
+                size_t Idx = static_cast<size_t>(I * LdC + J);
+                float Expect = J < N ? Want[static_cast<size_t>(J * M + I)]
+                                     : CInit[Idx];
+                ASSERT_EQ(C[Idx], Expect)
+                    << simdTierName(MK.Tier) << " " << gemmVariantName(V)
+                    << " " << M << "x" << N << "x" << K
+                    << " acc=" << Accumulate << " pool=" << (P != nullptr)
+                    << " MaxThreads=" << MaxThreads << " at (" << I << ", "
+                    << J << ")";
+              }
+          }
+      }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Tiers, MicroKernelAllTiers,
                          ::testing::Values(SimdTier::Scalar, SimdTier::AVX2,
                                            SimdTier::AVX512),
